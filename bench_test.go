@@ -576,11 +576,10 @@ func BenchmarkIncrementalVsReplan(b *testing.B) {
 // BenchmarkExactScaling shows how the exact MIP's cost grows with the
 // spectrum grid (the paper's Gurobi runs take "hours" at production
 // size; the heuristic stays near-instant — this bench quantifies the
-// gap on solvable instances). The exact solves run once per branching
-// rule and worker count on fixed ladders so the branch-and-bound speedup
-// and the branching ablation are visible on any machine; sub-runs also
-// cross-check that the objective is bit-identical at every (rule,
-// workers) combination — the determinism contract CI's bench smoke
+// gap on solvable instances). The exact solves run once per worker count
+// on a fixed ladder so the branch-and-bound speedup is visible on any
+// machine; sub-runs also cross-check that the objective is bit-identical
+// at every worker count — the determinism contract CI's bench smoke
 // enforces.
 func BenchmarkExactScaling(b *testing.B) {
 	for _, pixels := range []int{16, 20, 24, 32} {
@@ -589,35 +588,29 @@ func BenchmarkExactScaling(b *testing.B) {
 			b.Fatal(err)
 		}
 		refObjective, haveRef := 0.0, false
-		for _, rule := range eval.SolverBenchBranchings() {
-			for _, workers := range eval.SolverBenchWorkerCounts() {
-				name := "exact/pixels=" + itoa(pixels) + "/branching=" + string(rule) + "/" + bName("workers", workers)
-				b.Run(name, func(b *testing.B) {
-					var last *plan.Result
-					for i := 0; i < b.N; i++ {
-						last, err = plan.SolveExact(p, solver.Options{
-							MaxNodes: 100000, Workers: workers, Branching: rule,
-						})
-						if err != nil {
-							b.Fatal(err)
-						}
+		for _, workers := range eval.SolverBenchWorkerCounts() {
+			b.Run("exact/pixels="+itoa(pixels)+"/"+bName("workers", workers), func(b *testing.B) {
+				var last *plan.Result
+				for i := 0; i < b.N; i++ {
+					last, err = plan.SolveExact(p, solver.Options{MaxNodes: 100000, Workers: workers})
+					if err != nil {
+						b.Fatal(err)
 					}
-					// The first sub-run -bench selects sets the reference;
-					// every later (rule, workers) combination must match it
-					// exactly.
-					if !haveRef {
-						refObjective, haveRef = last.Solver.Objective, true
-					} else if last.Solver.Objective != refObjective {
-						b.Fatalf("objective %v at branching=%s workers=%d differs from reference %v",
-							last.Solver.Objective, rule, workers, refObjective)
-					}
-					b.ReportMetric(float64(last.Solver.Nodes), "bnb-nodes")
-					b.ReportMetric(float64(last.Solver.SimplexIters), "simplex-iters")
-					if last.Solver.Nodes > 0 {
-						b.ReportMetric(float64(last.Solver.WarmStartHits)/float64(last.Solver.Nodes), "warm-hit-rate")
-					}
-				})
-			}
+				}
+				// The first sub-run -bench selects sets the reference;
+				// every later worker count must match it exactly.
+				if !haveRef {
+					refObjective, haveRef = last.Solver.Objective, true
+				} else if last.Solver.Objective != refObjective {
+					b.Fatalf("objective %v at workers=%d differs from reference %v",
+						last.Solver.Objective, workers, refObjective)
+				}
+				b.ReportMetric(float64(last.Solver.Nodes), "bnb-nodes")
+				b.ReportMetric(float64(last.Solver.SimplexIters), "simplex-iters")
+				if last.Solver.Nodes > 0 {
+					b.ReportMetric(float64(last.Solver.WarmStartHits)/float64(last.Solver.Nodes), "warm-hit-rate")
+				}
+			})
 		}
 		b.Run("heuristic/pixels="+itoa(pixels), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -669,49 +662,12 @@ func BenchmarkPresolveAblation(b *testing.B) {
 	}
 }
 
-// BenchmarkPricingAblation runs the exact planning MIP under each
-// dual-simplex pricing rule on the same instances and cross-checks that
-// the objectives are identical — the pricing correctness contract CI's
-// bench smoke enforces — while the simplex-iters contrast shows what the
-// weighted rules buy over the Dantzig baseline.
-func BenchmarkPricingAblation(b *testing.B) {
-	for _, pixels := range []int{16, 24} {
-		p, err := eval.ExactScalingProblem(pixels)
-		if err != nil {
-			b.Fatal(err)
-		}
-		refObjective, haveRef := 0.0, false
-		for _, pricing := range []solver.PricingRule{solver.PricingDevex, solver.PricingSteepestEdge, solver.PricingDantzig} {
-			b.Run("exact/pixels="+itoa(pixels)+"/pricing="+string(pricing), func(b *testing.B) {
-				var last *plan.Result
-				for i := 0; i < b.N; i++ {
-					last, err = plan.SolveExact(p, solver.Options{
-						MaxNodes: 100000, Workers: 1, Pricing: pricing,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				if !haveRef {
-					refObjective, haveRef = last.Solver.Objective, true
-				} else if last.Solver.Objective != refObjective {
-					b.Fatalf("objective %v under pricing=%s differs from reference %v",
-						last.Solver.Objective, pricing, refObjective)
-				}
-				b.ReportMetric(float64(last.Solver.SimplexIters), "simplex-iters")
-				b.ReportMetric(float64(last.Solver.BoundFlips), "bound-flips")
-				b.ReportMetric(float64(last.Solver.WeightResets), "weight-resets")
-			})
-		}
-	}
-}
-
 // BenchmarkSolverMemoryBudget enforces a per-instance bytes/op budget on
 // the default (revised simplex) exact solve — the memory regression
 // guard CI's bench smoke runs. The budgets sit roughly 2x above the
 // measured revised-engine allocation and well under half the dense
-// tableau's (≈1.5 MB/op at 32 pixels, ≈6 MB/op at 64), so either an
-// engine regression or an accidental fall-back to the dense path trips
+// tableau's (≈1.1 MB/op at 32 pixels, ≈4.5 MB/op at 64), so either an
+// engine regression or a fall-back to the dense path on every solve trips
 // them. TotalAlloc deltas are read directly because the testing
 // framework's own B/op is not visible from inside the benchmark.
 func BenchmarkSolverMemoryBudget(b *testing.B) {
@@ -748,9 +704,8 @@ func BenchmarkSolverMemoryBudget(b *testing.B) {
 	}
 }
 
-// BenchmarkExactRegressionGuard fails if the default exact solve at
-// pixels=64 (revised simplex, Forrest–Tomlin updates, one worker,
-// pseudocost branching, all presolve passes on) regresses more than 25%
+// BenchmarkExactRegressionGuard fails if the exact solve at pixels=64
+// (one worker, presolve on) regresses more than 25%
 // against the committed BENCH_solver.json baseline — the performance
 // contract CI's bench smoke enforces. Machines differ, so the budget is
 // calibrated: the pixels=16 point from the same baseline is re-measured
@@ -769,21 +724,16 @@ func BenchmarkExactRegressionGuard(b *testing.B) {
 	}
 	find := func(instance string) *eval.SolverBenchPoint {
 		for i, pt := range baseline.Points {
-			// The pricing predicate keeps the dantzig ablation points out
-			// of the match; "" tolerates baselines recorded before the
-			// pricing field existed.
-			if pt.Instance == instance && pt.Engine == "revised" && pt.Workers == 1 &&
-				pt.Branching == string(solver.BranchPseudocost) && pt.Presolve && pt.NodePresolve &&
-				(pt.Pricing == "" || pt.Pricing == string(solver.PricingDevex)) {
+			if pt.Instance == instance && pt.Workers == 1 && pt.Presolve {
 				return &baseline.Points[i]
 			}
 		}
-		b.Fatalf("BENCH_solver.json has no revised/workers=1 point for %s", instance)
+		b.Fatalf("BENCH_solver.json has no workers=1 presolve-on point for %s", instance)
 		return nil
 	}
 	base16 := find("exact-planning/pixels=16")
 	base64 := find("exact-planning/pixels=64")
-	opts := solver.Options{MaxNodes: 100000, Workers: 1, Branching: solver.BranchPseudocost}
+	opts := solver.Options{MaxNodes: 100000, Workers: 1}
 	problem := func(pixels int) plan.Problem {
 		p, err := eval.ExactScalingProblem(pixels)
 		if err != nil {
@@ -831,10 +781,10 @@ func BenchmarkExactRegressionGuard(b *testing.B) {
 
 // BenchmarkDegeneracyWallGuard re-solves the degeneracy-wall instance —
 // the full T-backbone at 32 pixels with three candidate paths per link,
-// the instance Dantzig pricing stalls on outright — and fails if the
-// default devex-priced solve regresses past a pivot-count budget of 1.5x
-// the committed BENCH_solver.json baseline, or stops proving optimality,
-// or lands on a different objective. Pivot counts (unlike wall-clock) are
+// the instance an unweighted (Dantzig-priced) dual simplex stalls on
+// outright — and fails if the devex-priced solve regresses past a
+// pivot-count budget of 1.5x the committed BENCH_solver.json baseline,
+// or stops proving optimality, or lands on a different objective. Pivot counts (unlike wall-clock) are
 // deterministic at one worker, so the budget needs no machine
 // calibration; the 1.5x slack absorbs legitimate future pivot-path
 // changes without letting the instance drift back toward the wall. Skips
@@ -851,9 +801,7 @@ func BenchmarkDegeneracyWallGuard(b *testing.B) {
 	}
 	var base *eval.SolverBenchPoint
 	for i, pt := range baseline.Points {
-		if pt.Instance == instance && pt.Engine == "revised" && pt.Workers == 1 &&
-			pt.Branching == string(solver.BranchPseudocost) && pt.Presolve && pt.NodePresolve &&
-			(pt.Pricing == "" || pt.Pricing == string(solver.PricingDevex)) {
+		if pt.Instance == instance && pt.Workers == 1 && pt.Presolve {
 			base = &baseline.Points[i]
 			break
 		}
@@ -865,9 +813,7 @@ func BenchmarkDegeneracyWallGuard(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := plan.SolveExact(p, solver.Options{
-		MaxNodes: 100000, Workers: 1, Branching: solver.BranchPseudocost,
-	})
+	res, err := plan.SolveExact(p, solver.Options{MaxNodes: 100000, Workers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -12,10 +12,8 @@
 //	                                      (0 = all cores, 1 = sequential)
 //	flexwan-experiments -fig exact -solver-workers 4
 //	                                    # exact cross-check, parallel B&B
-//	flexwan-experiments -fig exact -branching most-fractional
-//	                                    # branching-rule ablation
-//	flexwan-experiments -fig exact -pricing steepest-edge
-//	                                    # dual-simplex pricing ablation
+//	flexwan-experiments -fig exact -no-presolve
+//	                                    # presolve ablation
 //	flexwan-experiments -fig bench      # solver benchmarks → BENCH_solver.json
 //	flexwan-experiments -fig bench -cpuprofile cpu.pprof -memprofile mem.pprof
 //	                                    # profile any mode with pprof
@@ -34,7 +32,6 @@ import (
 	"time"
 
 	"flexwan/internal/eval"
-	"flexwan/internal/solver"
 	"flexwan/internal/workload"
 )
 
@@ -44,26 +41,11 @@ func main() {
 	csvDir := flag.String("csv", "", "also write plotting-ready CSV files into this directory")
 	workers := flag.Int("workers", 0, "concurrent scenario/plan solves per sweep (0 = all cores, 1 = sequential)")
 	solverWorkers := flag.Int("solver-workers", 0, "branch-and-bound workers per exact MIP solve (0 = all cores)")
-	branching := flag.String("branching", string(solver.BranchPseudocost), "branch-and-bound variable selection for the 'exact' mode: pseudocost or most-fractional ('bench' always records both)")
-	pricing := flag.String("pricing", string(solver.PricingDevex), "dual-simplex pricing rule for the 'exact' mode: dantzig, devex, or steepest-edge ('bench' records the dantzig ablation alongside the devex default)")
 	noPresolve := flag.Bool("no-presolve", false, "disable the presolve reductions in the 'exact' mode ('bench' always records both)")
 	benchOut := flag.String("bench-out", "BENCH_solver.json", "output path for the 'bench' mode record")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (captured at exit, after a GC) to this file")
 	flag.Parse()
-
-	rule := solver.BranchRule(*branching)
-	if rule != solver.BranchPseudocost && rule != solver.BranchMostFractional {
-		fmt.Fprintf(os.Stderr, "flexwan-experiments: unknown -branching %q (want %q or %q)\n",
-			*branching, solver.BranchPseudocost, solver.BranchMostFractional)
-		os.Exit(1)
-	}
-	priceRule := solver.PricingRule(*pricing)
-	if priceRule != solver.PricingDantzig && priceRule != solver.PricingDevex && priceRule != solver.PricingSteepestEdge {
-		fmt.Fprintf(os.Stderr, "flexwan-experiments: unknown -pricing %q (want %q, %q, or %q)\n",
-			*pricing, solver.PricingDantzig, solver.PricingDevex, solver.PricingSteepestEdge)
-		os.Exit(1)
-	}
 
 	want := map[string]bool{}
 	for _, f := range strings.Split(*figFlag, ",") {
@@ -203,7 +185,7 @@ func main() {
 		fmt.Println(f)
 	}
 	if run("exact") {
-		rows, err := eval.ExactCrossCheck([]int{16, 20, 24}, *solverWorkers, rule, priceRule, *noPresolve)
+		rows, err := eval.ExactCrossCheck([]int{16, 20, 24}, *solverWorkers, *noPresolve)
 		if err != nil {
 			fail(err)
 		}

@@ -94,42 +94,6 @@ func TestSubmitCLI(t *testing.T) {
 	}
 }
 
-// TestSubmitExactPricingCLI: -pricing rides an exact plan job end to end
-// — the chosen rule must show up in the job's solver stats — and an
-// unknown rule must fail the job (nonzero exit), mirroring the unknown-
-// network contract.
-func TestSubmitExactPricingCLI(t *testing.T) {
-	ts := startService(t, api.Options{QueueDepth: 16, Workers: 2})
-
-	var out bytes.Buffer
-	if raceDetectorOn {
-		// The exact MIP solve is ~20× slower under the detector and has
-		// no concurrency of its own worth racing; the rejection path
-		// below still covers the flag threading.
-		t.Log("race detector on: skipping the full exact-solve submit")
-	} else {
-		err := runService("submit", []string{
-			"-addr", ts.URL, "-type", "plan", "-network", "ring4", "-k", "1", "-scale", "0.25",
-			"-exact", "-pricing", "steepest-edge", "-wait", "5m",
-		}, &out)
-		if err != nil {
-			t.Fatalf("submit exact plan with -pricing: %v (output %q)", err, out.String())
-		}
-		if !strings.Contains(out.String(), `"PricingMode": "steepest-edge"`) {
-			t.Fatalf("submit output %q does not record the requested pricing rule", out.String())
-		}
-	}
-
-	out.Reset()
-	err := runService("submit", []string{
-		"-addr", ts.URL, "-type", "plan", "-network", "ring4", "-k", "1", "-scale", "0.25",
-		"-exact", "-pricing", "newton", "-wait", "2m",
-	}, &out)
-	if err == nil || !strings.Contains(err.Error(), "Failed") {
-		t.Fatalf("submit with unknown pricing rule: err = %v, want Failed", err)
-	}
-}
-
 // TestSubmitSweepFailedScenariosExit: a sweep job that completes but
 // records failed scenarios must exit nonzero — the service-era
 // equivalent of the drill exit-code contract.

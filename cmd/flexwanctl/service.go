@@ -80,7 +80,6 @@ func runSubmit(args []string, stdout io.Writer) error {
 	seed := fs.Int64("seed", 0, "demand/fault seed")
 	scale := fs.Float64("scale", 0, "demand scale factor (0 = unscaled)")
 	exact := fs.Bool("exact", false, "plan jobs: solve the exact MIP")
-	pricing := fs.String("pricing", "", "plan jobs with -exact: dual-simplex pricing rule: dantzig | devex | steepest-edge (empty = solver default)")
 	cut := fs.String("cut", "", "comma-separated fibers to cut (restore/drill)")
 	deadlineMs := fs.Int64("deadline-ms", 0, "end-to-end job deadline from submission (0 = none)")
 	workers := fs.Int("workers", 0, "intra-job parallelism (sweep fan-out, MIP workers)")
@@ -92,7 +91,7 @@ func runSubmit(args []string, stdout io.Writer) error {
 	spec := api.JobSpec{
 		Type: *typ, Network: *network, Scheme: *scheme,
 		K: *k, Seed: *seed, Scale: *scale, Exact: *exact,
-		Pricing: *pricing, Workers: *workers, DeadlineMs: *deadlineMs,
+		Workers: *workers, DeadlineMs: *deadlineMs,
 	}
 	if *cut != "" {
 		spec.CutFibers = strings.Split(*cut, ",")

@@ -31,6 +31,9 @@
 //	GET  /v1/stats            scheduler counters (SchedStats)
 //	GET  /healthz             liveness
 //
+// POST bodies are capped at 1 MiB (413 past it), and a field the target
+// type does not have is a 400 naming it, never silently ignored.
+//
 // Jobs carry their deadline end to end: DeadlineMs starts at submission,
 // queue time counts against it, and the job context reaches
 // solver.Options.Context — the simplex engines poll it at pivot

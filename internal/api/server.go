@@ -118,6 +118,31 @@ func writeError(w http.ResponseWriter, code int, format string, args ...interfac
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// maxBodyBytes bounds every JSON request body the API decodes; job specs
+// and device descriptors are a few hundred bytes.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body into v, refusing bodies over
+// maxBodyBytes and fields v does not have — a retired or misspelled field
+// is a client error, never silently ignored. On failure it writes the
+// error response (413 for an oversized body, 400 otherwise, both naming
+// what) and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v interface{}) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, code, "bad %s: %v", what, err)
+	return false
+}
+
 // tenant extracts the caller's tenant from the X-Tenant header
 // ("default" when absent — single-tenant callers need no headers).
 func tenant(r *http.Request) string {
@@ -129,8 +154,7 @@ func tenant(r *http.Request) string {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "bad job spec: %v", err)
+	if !decodeBody(w, r, "job spec", &spec) {
 		return
 	}
 	j, err := s.sched.Submit(tenant(r), spec)
@@ -288,8 +312,7 @@ func (s *Server) handleRegisterDevice(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var desc devmodel.Descriptor
-	if err := json.NewDecoder(r.Body).Decode(&desc); err != nil {
-		writeError(w, http.StatusBadRequest, "bad descriptor: %v", err)
+	if !decodeBody(w, r, "descriptor", &desc) {
 		return
 	}
 	if err := s.ctrl.DevMgr().Register(desc); err != nil {

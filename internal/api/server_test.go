@@ -337,3 +337,56 @@ func TestServiceBadRequests(t *testing.T) {
 		t.Fatalf("bad network job: state %s error %q, want Failed/unknown network", done.State, done.Error)
 	}
 }
+
+// postJobRaw posts body verbatim to /v1/jobs and returns the status code
+// and the decoded error message.
+func postJobRaw(t *testing.T, ts *httptest.Server, body string) (int, string) {
+	t.Helper()
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e struct {
+		Error string `json:"error"`
+	}
+	_ = json.NewDecoder(resp.Body).Decode(&e)
+	return resp.StatusCode, e.Error
+}
+
+// TestServiceRejectsUnknownFields: a spec carrying a field JobSpec does
+// not have — here the retired "pricing" option — is a 400 naming the
+// field, not a job that silently ignores it.
+func TestServiceRejectsUnknownFields(t *testing.T) {
+	s, ts := newTestServer(t)
+	code, msg := postJobRaw(t, ts, `{"type":"plan","network":"ring4","exact":true,"pricing":"devex"}`)
+	if code != http.StatusBadRequest || !strings.Contains(msg, `"pricing"`) {
+		t.Fatalf("unknown field: status %d error %q, want 400 naming \"pricing\"", code, msg)
+	}
+	if n := len(s.Scheduler().Jobs()); n != 0 {
+		t.Fatalf("rejected spec still queued %d job(s)", n)
+	}
+}
+
+// TestServiceRejectsOversizedBody: bodies past maxBodyBytes are refused
+// with 413 before they are decoded in full.
+func TestServiceRejectsOversizedBody(t *testing.T) {
+	_, ts := newTestServer(t)
+	body := `{"type":"restore","network":"ring4","cut_fibers":["` + strings.Repeat("x", maxBodyBytes) + `"]}`
+	code, msg := postJobRaw(t, ts, body)
+	if code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d error %q, want 413", code, msg)
+	}
+}
+
+// TestServiceRestoreUnknownFiber: a restore job cutting a fiber the
+// network does not have ends Failed with an error naming the fiber,
+// instead of Optimal with "0 of 0 Gbps restored".
+func TestServiceRestoreUnknownFiber(t *testing.T) {
+	_, ts := newTestServer(t)
+	v := submitJob(t, ts, "t", JobSpec{Type: "restore", Network: "ring4", CutFibers: []string{"rfib99"}})
+	done := waitJob(t, ts, v.ID)
+	if done.State != StateFailed || !strings.Contains(done.Error, `"rfib99"`) {
+		t.Fatalf("unknown fiber: state %s error %q, want Failed naming \"rfib99\"", done.State, done.Error)
+	}
+}

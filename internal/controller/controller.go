@@ -602,6 +602,11 @@ func (c *Controller) HandleFiberCutReport(fiber string) (*RestoreReport, error) 
 	if c.downFibers[fiber] {
 		return nil, fmt.Errorf("controller: fiber %s already marked down", fiber)
 	}
+	// Refuse an unknown fiber before marking it: a stale mark would join
+	// every later cut and fail each live restoration.
+	if _, ok := c.cfg.Optical.Fiber(fiber); !ok {
+		return nil, fmt.Errorf("controller: cut report for unknown fiber %q", fiber)
+	}
 	c.downFibers[fiber] = true
 	cut := make([]string, 0, len(c.downFibers))
 	for f := range c.downFibers {

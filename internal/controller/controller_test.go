@@ -277,6 +277,30 @@ func TestHandleFiberCutIdempotent(t *testing.T) {
 	}
 }
 
+// TestUnknownFiberCutLeavesStateClean: a cut report for a fiber the
+// topology lacks is refused without marking it down, so the next real
+// cut still restores over a live solve.
+func TestUnknownFiberCutLeavesStateClean(t *testing.T) {
+	h := newHarness(t, 3, topology.IPLink{ID: "e1", A: "A", B: "B", DemandGbps: 400})
+	res, err := h.ctrl.PlanNetwork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.ctrl.Apply(res); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.ctrl.HandleFiberCut("no-such-fiber"); err == nil || !strings.Contains(err.Error(), "no-such-fiber") {
+		t.Fatalf("unknown fiber cut: err = %v, want one naming the fiber", err)
+	}
+	got, err := h.ctrl.HandleFiberCut("f1")
+	if err != nil {
+		t.Fatalf("real cut after an unknown one: %v", err)
+	}
+	if got.RestoredGbps != 400 {
+		t.Fatalf("restored %d Gbps, want 400", got.RestoredGbps)
+	}
+}
+
 func TestRegisterValidation(t *testing.T) {
 	h := newHarness(t, 1, topology.IPLink{ID: "e1", A: "A", B: "B", DemandGbps: 100})
 	dm := h.ctrl.DevMgr()

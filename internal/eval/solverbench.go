@@ -19,8 +19,8 @@ import (
 // A—B—C with two IP links on the RADWAN catalog over a pixels-wide grid.
 // More pixels means more starting-pixel γ variables, hence a harder MIP.
 // The instance grows roughly six variables per pixel, so the whole
-// benchmark ladder (up to 96 pixels) sits far below the build caps of
-// both LP engines (solver.DefaultMaxVars / DefaultDenseMaxVars).
+// benchmark ladder (up to 128 pixels) sits far below the build cap
+// (solver.DefaultMaxVars).
 func ExactScalingProblem(pixels int) (plan.Problem, error) {
 	g := topology.New()
 	if err := g.AddFiber("f1", "A", "B", 100); err != nil {
@@ -63,28 +63,17 @@ func ExactTBackboneProblem(seed int64, scale float64, pixels, k int) (plan.Probl
 // SolverBenchInstance names one exact-planning instance of the benchmark
 // ladder. Line instances are ExactScalingProblem at Pixels; T-backbone
 // instances (TBackbone true) are ExactTBackboneProblem at Scale, Pixels,
-// and K candidate paths. SkipDense marks instances too large for the
-// dense-tableau ablation (its memory is quadratic in the standard-form
-// size); SkipPresolveOff marks instances whose LP bound is useless without
-// the presolve coefficient tightening — the presolve-off ablation would
-// exhaust the node budget with no incumbent instead of measuring anything.
-// SkipNodePresolveOff does the same for the node-presolve ablation, needed
-// on the hardest T-backbone instance where per-node propagation is what
-// keeps the search from drowning in start-pixel symmetries.
+// and K candidate paths. SkipPresolveOff marks instances whose LP bound
+// is useless without the presolve coefficient tightening — the
+// presolve-off ablation would exhaust the node budget with no incumbent
+// instead of measuring anything.
 type SolverBenchInstance struct {
-	Name                string
-	Pixels              int
-	TBackbone           bool
-	Scale               float64
-	K                   int
-	SkipDense           bool
-	SkipPresolveOff     bool
-	SkipNodePresolveOff bool
-	// SkipDantzig skips the Dantzig pricing ablation point: set on
-	// instances whose degeneracy stalls unweighted pricing for the whole
-	// node budget — the wall instance is IN the ladder precisely because
-	// only the weighted rules get through it.
-	SkipDantzig bool
+	Name            string
+	Pixels          int
+	TBackbone       bool
+	Scale           float64
+	K               int
+	SkipPresolveOff bool
 }
 
 // Problem builds the instance.
@@ -103,9 +92,8 @@ func (si SolverBenchInstance) Problem() (plan.Problem, error) {
 // the two-link line from 16 to 128 pixels, then full T-backbone instances
 // — the complete synthetic backbone (36 fibers, 38 IP links) at demand
 // scale 0.02, once at 32 pixels with the single shortest path per link and
-// once at 24 pixels with three candidate paths (the hardest instance the
-// exact ladder proves optimal; the k=3 spectrum packing at 24 pixels is
-// where the FT-vs-eta-file gap is widest).
+// at 24 and 32 pixels with three candidate paths (the k=3 spectrum
+// packing; 32 pixels is the degeneracy wall, see DESIGN.md).
 func DefaultSolverBenchInstances() []SolverBenchInstance {
 	out := []SolverBenchInstance{}
 	for _, px := range []int{16, 20, 24, 32, 48, 64, 96, 128} {
@@ -115,21 +103,15 @@ func DefaultSolverBenchInstances() []SolverBenchInstance {
 	}
 	for _, ti := range []SolverBenchInstance{
 		{Pixels: 32, Scale: 0.02, K: 1},
-		// The k=3 spectrum packing only stays solvable with node
-		// presolve on: without it the 100000-node budget finds no
-		// incumbent at all, so that ablation is skipped here.
-		{Pixels: 24, Scale: 0.02, K: 3, SkipNodePresolveOff: true},
-		// The degeneracy wall: 32 pixels and three candidate paths per
-		// link. The start-pixel symmetries at this width stall the
-		// Dantzig-priced dual simplex (hence SkipDantzig — that ablation
-		// would never finish); the weighted pricing rules walk through
+		{Pixels: 24, Scale: 0.02, K: 3},
+		// The degeneracy wall: the start-pixel symmetries at this width
+		// stall an unweighted dual simplex; devex pricing walks through
 		// it (see DESIGN.md), which is why this instance is in the
 		// ladder at all.
-		{Pixels: 32, Scale: 0.02, K: 3, SkipNodePresolveOff: true, SkipDantzig: true},
+		{Pixels: 32, Scale: 0.02, K: 3},
 	} {
 		ti.Name = fmt.Sprintf("exact-tbackbone/pixels=%d,scale=%g,k=%d", ti.Pixels, ti.Scale, ti.K)
 		ti.TBackbone = true
-		ti.SkipDense = true       // thousands of columns: far past the dense tableau's range
 		ti.SkipPresolveOff = true // without coefficient tightening the LP bound prunes nothing
 		out = append(out, ti)
 	}
@@ -148,37 +130,21 @@ func SolverBenchWorkerCounts() []int {
 	return counts
 }
 
-// SolverBenchBranchings is the fixed branching-rule ladder benchmarked
-// and recorded in BENCH_solver.json: both rules always, so every record
-// carries the ablation.
-func SolverBenchBranchings() []solver.BranchRule {
-	return []solver.BranchRule{solver.BranchPseudocost, solver.BranchMostFractional}
-}
-
-// SolverBenchPoint is one (instance, engine, pricing, branching-rule,
-// worker-count, presolve, node-presolve) measurement. GoMaxProcs is the
-// effective GOMAXPROCS the sub-run executed under — pinned to at least
-// Workers so worker-scaling points are honest measurements rather than
-// time-sliced onto fewer threads than the sweep claims. Engine is
-// "revised" (the default revised simplex with Forrest–Tomlin basis
-// updates), "revised-eta" (the Options.EtaFileUpdates product-form
-// ablation), or "dense" (the Options.DenseSimplex tableau ablation).
-// Pricing is the dual-simplex pricing rule the point ran under (always
-// "dantzig" for the dense engine). WarmStartRate is nil — not a
+// SolverBenchPoint is one (instance, worker-count, presolve) measurement
+// of the production solver configuration. GoMaxProcs is the effective
+// GOMAXPROCS the sub-run executed under — pinned to at least Workers so
+// worker-scaling points are honest measurements rather than time-sliced
+// onto fewer threads than the sweep claims. WarmStartRate is nil — not a
 // misleading 0 — when the search never left the root node (Nodes <= 1:
 // there are no dives whose warm starts could hit or miss). The LU-health
 // block (refactorizations through np_fixings) comes from the solver's
-// SolveStats and is zero for the dense engine.
+// SolveStats.
 type SolverBenchPoint struct {
 	Instance         string   `json:"instance"`
 	Pixels           int      `json:"pixels"`
-	Engine           string   `json:"engine"`
-	Pricing          string   `json:"pricing"`
-	Branching        string   `json:"branching"`
 	Workers          int      `json:"workers"`
 	GoMaxProcs       int      `json:"gomaxprocs"`
 	Presolve         bool     `json:"presolve"`
-	NodePresolve     bool     `json:"node_presolve"`
 	PresolveRows     int      `json:"presolve_rows"`
 	PresolveCols     int      `json:"presolve_cols"`
 	Iterations       int      `json:"iterations"`
@@ -206,38 +172,26 @@ type SolverBenchPoint struct {
 type SolverBench struct {
 	GoMaxProcs int                `json:"gomaxprocs"`
 	Workers    []int              `json:"worker_counts"`
-	Branchings []string           `json:"branching_rules"`
 	Points     []SolverBenchPoint `json:"points"`
 }
 
 // SolverBenchmarks times the exact planning MIP on the given instance
-// ladder for each branching rule and worker count, plus four ablation
-// points per instance at the default rule and one worker: presolve off,
-// node presolve off (Options.NoNodePresolve), the product-form eta-file
-// basis maintenance (Options.EtaFileUpdates, engine "revised-eta") — the
-// PR 7 baseline the Forrest–Tomlin default is measured against — and the
-// dense-tableau engine (Options.DenseSimplex, skipped on instances marked
-// SkipDense; the presolve-off point is likewise skipped on instances
-// marked SkipPresolveOff). Each point runs until both minIters
-// iterations and minTime have elapsed (a hand-rolled testing.B: the
-// experiment binary cannot import package testing). Every sub-run is
-// pinned to GOMAXPROCS ≥ workers — so a workers=4 point on a
-// GOMAXPROCS=1 process is a real 4-way run, not time-slicing dressed up
-// as scaling — and the effective value is recorded per point. It
-// verifies the objective is identical across every configuration per
-// instance — the determinism contract, presolve/node-presolve/basis-
-// maintenance included — and returns
-// an error if not. Speedups are relative to the same rule at one worker.
+// ladder at each worker count, plus one presolve-off ablation point per
+// instance at one worker (skipped on instances marked SkipPresolveOff).
+// Each point runs until both minIters iterations and minTime have
+// elapsed (a hand-rolled testing.B: the experiment binary cannot import
+// package testing). Every sub-run is pinned to GOMAXPROCS ≥ workers and
+// the effective value is recorded per point; a point with more workers
+// than the host has CPUs is time-sliced, not parallel. It verifies the
+// objective is identical across every point of an instance — the
+// determinism contract, presolve included — and returns an error if
+// not. Speedups are relative to one worker.
 func SolverBenchmarks(instances []SolverBenchInstance, workerCounts []int, minIters int, minTime time.Duration) (SolverBench, error) {
 	if minIters < 1 {
 		minIters = 1
 	}
-	rules := SolverBenchBranchings()
 	base := runtime.GOMAXPROCS(0)
 	out := SolverBench{GoMaxProcs: base, Workers: workerCounts}
-	for _, r := range rules {
-		out.Branchings = append(out.Branchings, string(r))
-	}
 	for _, inst := range instances {
 		p, err := inst.Problem()
 		if err != nil {
@@ -247,21 +201,9 @@ func SolverBenchmarks(instances []SolverBenchInstance, workerCounts []int, minIt
 		pixels := inst.Pixels
 		refObjective, haveRef := 0.0, false
 
-		measure := func(rule solver.BranchRule, workers int, noPresolve, noNodePresolve, etaFile, dense bool, pricing solver.PricingRule) (SolverBenchPoint, error) {
-			opts := solver.Options{
-				MaxNodes: 100000, Workers: workers, Branching: rule,
-				NoPresolve: noPresolve, NoNodePresolve: noNodePresolve,
-				EtaFileUpdates: etaFile, DenseSimplex: dense,
-				Pricing: pricing,
-			}
-			engine := "revised"
-			if etaFile {
-				engine = "revised-eta"
-			}
-			if dense {
-				engine = "dense"
-			}
-			label := fmt.Sprintf("%s engine=%s pricing=%s branching=%s workers=%d presolve=%v node-presolve=%v", instance, engine, opts.EffectivePricing(), rule, workers, !noPresolve, !noNodePresolve)
+		measure := func(workers int, noPresolve bool) (SolverBenchPoint, error) {
+			opts := solver.Options{MaxNodes: 100000, Workers: workers, NoPresolve: noPresolve}
+			label := fmt.Sprintf("%s workers=%d presolve=%v", instance, workers, !noPresolve)
 			eff := base
 			if workers > eff {
 				runtime.GOMAXPROCS(workers)
@@ -278,8 +220,8 @@ func SolverBenchmarks(instances []SolverBenchInstance, workerCounts []int, minIt
 			if !haveRef {
 				refObjective, haveRef = warm.Solver.Objective, true
 			} else if warm.Solver.Objective != refObjective {
-				return SolverBenchPoint{}, fmt.Errorf("eval: %s objective diverged: got %v, want %v (branching=%s workers=%d presolve on)",
-					label, warm.Solver.Objective, refObjective, rules[0], workerCounts[0])
+				return SolverBenchPoint{}, fmt.Errorf("eval: %s objective diverged: got %v, want %v (workers=%d presolve on)",
+					label, warm.Solver.Objective, refObjective, workerCounts[0])
 			}
 
 			var before, after runtime.MemStats
@@ -300,13 +242,9 @@ func SolverBenchmarks(instances []SolverBenchInstance, workerCounts []int, minIt
 			pt := SolverBenchPoint{
 				Instance:         instance,
 				Pixels:           pixels,
-				Engine:           engine,
-				Pricing:          string(opts.EffectivePricing()),
-				Branching:        string(rule),
 				Workers:          workers,
 				GoMaxProcs:       eff,
 				Presolve:         !noPresolve,
-				NodePresolve:     !noNodePresolve,
 				PresolveRows:     last.Solver.PresolveRows,
 				PresolveCols:     last.Solver.PresolveCols,
 				Iterations:       iters,
@@ -337,52 +275,25 @@ func SolverBenchmarks(instances []SolverBenchInstance, workerCounts []int, minIt
 			return pt, nil
 		}
 
-		for _, rule := range rules {
-			var nsAt1 float64
-			for _, workers := range workerCounts {
-				pt, err := measure(rule, workers, false, false, false, false, "")
-				if err != nil {
-					return SolverBench{}, err
-				}
-				if workers == 1 {
-					nsAt1 = pt.NsPerOp
-				}
-				if nsAt1 > 0 {
-					pt.SpeedupVs1 = nsAt1 / pt.NsPerOp
-				}
-				out.Points = append(out.Points, pt)
+		var nsAt1 float64
+		for _, workers := range workerCounts {
+			pt, err := measure(workers, false)
+			if err != nil {
+				return SolverBench{}, err
 			}
+			if workers == 1 {
+				nsAt1 = pt.NsPerOp
+			}
+			if nsAt1 > 0 {
+				pt.SpeedupVs1 = nsAt1 / pt.NsPerOp
+			}
+			out.Points = append(out.Points, pt)
 		}
-		// Ablations, each at the default rule and one worker so the pair
-		// against the matching revised point isolates exactly one change.
-		// Objective identity across all of them is enforced by measure.
-		for _, abl := range []struct {
-			noPresolve, noNodePresolve, etaFile, dense bool
-			pricing                                    solver.PricingRule
-			skip                                       bool
-		}{
-			// Presolve off. Skipped where the untightened LP bound is so
-			// weak the node budget runs out without an incumbent.
-			{noPresolve: true, skip: inst.SkipPresolveOff},
-			// Node presolve off: what the per-node propagation pass buys.
-			{noNodePresolve: true, skip: inst.SkipNodePresolveOff},
-			// Product-form eta file: the basis-maintenance scheme before
-			// Forrest–Tomlin, isolating the update algebra.
-			{etaFile: true},
-			// Dense tableau: the memory baseline the revised simplex is
-			// measured against; meaningless past a few thousand columns.
-			{dense: true, skip: inst.SkipDense},
-			// Dantzig pricing: the unweighted baseline the devex default
-			// is measured against — the pivot-count delta against the
-			// matching revised point is the pricing result, and measure's
-			// objective check is the cross-pricing identity contract.
-			// Skipped where degeneracy stalls unweighted pricing outright.
-			{pricing: solver.PricingDantzig, skip: inst.SkipDantzig},
-		} {
-			if abl.skip {
-				continue
-			}
-			pt, err := measure(rules[0], 1, abl.noPresolve, abl.noNodePresolve, abl.etaFile, abl.dense, abl.pricing)
+		// Presolve off, at one worker so the pair against the matching
+		// default point isolates exactly one change. Objective identity is
+		// enforced by measure.
+		if !inst.SkipPresolveOff {
+			pt, err := measure(1, true)
 			if err != nil {
 				return SolverBench{}, err
 			}
@@ -394,7 +305,7 @@ func SolverBenchmarks(instances []SolverBenchInstance, workerCounts []int, minIt
 }
 
 func (s SolverBench) String() string {
-	header := []string{"instance", "engine", "pricing", "branching", "workers", "gmp", "presolve", "np", "rows-/cols-", "iters", "ns/op", "nodes", "pivots", "pivots/s", "flips", "wreset", "refac", "updates", "fill", "fb", "npfix", "warm%", "speedup"}
+	header := []string{"instance", "workers", "gmp", "presolve", "rows-/cols-", "iters", "ns/op", "nodes", "pivots", "pivots/s", "flips", "wreset", "refac", "updates", "fill", "fb", "npfix", "warm%", "speedup"}
 	rows := make([][]string, len(s.Points))
 	onOff := func(b bool) string {
 		if b {
@@ -409,13 +320,9 @@ func (s SolverBench) String() string {
 		}
 		rows[i] = []string{
 			pt.Instance,
-			pt.Engine,
-			pt.Pricing,
-			pt.Branching,
 			fmt.Sprintf("%d", pt.Workers),
 			fmt.Sprintf("%d", pt.GoMaxProcs),
 			onOff(pt.Presolve),
-			onOff(pt.NodePresolve),
 			fmt.Sprintf("%d/%d", pt.PresolveRows, pt.PresolveCols),
 			fmt.Sprintf("%d", pt.Iterations),
 			fmt.Sprintf("%.0f", pt.NsPerOp),
@@ -447,7 +354,6 @@ type ExactCheck struct {
 	ExactNodes   int
 	ExactWorkers int
 	ExactGap     float64
-	Branching    solver.BranchRule
 	SimplexIters int
 	WarmHits     int
 	PresolveRows int
@@ -455,11 +361,10 @@ type ExactCheck struct {
 }
 
 // ExactCrossCheck solves the scaling instances both heuristically and
-// exactly (with the given solver worker count, branching rule, pricing
-// rule, and presolve setting) and reports transponder counts side by
-// side — the planning-quality check behind Fig 12's claim that the
-// heuristic tracks the optimum.
-func ExactCrossCheck(pixelSizes []int, solverWorkers int, branching solver.BranchRule, pricing solver.PricingRule, noPresolve bool) ([]ExactCheck, error) {
+// exactly (with the given solver worker count and presolve setting) and
+// reports transponder counts side by side — the planning-quality check
+// behind Fig 12's claim that the heuristic tracks the optimum.
+func ExactCrossCheck(pixelSizes []int, solverWorkers int, noPresolve bool) ([]ExactCheck, error) {
 	var out []ExactCheck
 	for _, pixels := range pixelSizes {
 		p, err := ExactScalingProblem(pixels)
@@ -470,7 +375,7 @@ func ExactCrossCheck(pixelSizes []int, solverWorkers int, branching solver.Branc
 		if err != nil {
 			return nil, err
 		}
-		e, err := plan.SolveExact(p, solver.Options{MaxNodes: 100000, Workers: solverWorkers, Branching: branching, Pricing: pricing, NoPresolve: noPresolve})
+		e, err := plan.SolveExact(p, solver.Options{MaxNodes: 100000, Workers: solverWorkers, NoPresolve: noPresolve})
 		if err != nil {
 			return nil, err
 		}
@@ -481,7 +386,6 @@ func ExactCrossCheck(pixelSizes []int, solverWorkers int, branching solver.Branc
 			ExactNodes:   e.Solver.Nodes,
 			ExactWorkers: e.Solver.Workers,
 			ExactGap:     e.Solver.Gap,
-			Branching:    e.Solver.Branching,
 			SimplexIters: e.Solver.SimplexIters,
 			WarmHits:     e.Solver.WarmStartHits,
 			PresolveRows: e.Solver.PresolveRows,
@@ -493,7 +397,7 @@ func ExactCrossCheck(pixelSizes []int, solverWorkers int, branching solver.Branc
 
 // ExactCheckString renders the cross-check rows.
 func ExactCheckString(rows []ExactCheck) string {
-	header := []string{"instance", "heuristic tx", "exact tx", "nodes", "workers", "branching", "pivots", "warm hits", "rows-/cols-", "gap"}
+	header := []string{"instance", "heuristic tx", "exact tx", "nodes", "workers", "pivots", "warm hits", "rows-/cols-", "gap"}
 	table := make([][]string, len(rows))
 	for i, r := range rows {
 		table[i] = []string{
@@ -502,7 +406,6 @@ func ExactCheckString(rows []ExactCheck) string {
 			fmt.Sprintf("%d", r.ExactTx),
 			fmt.Sprintf("%d", r.ExactNodes),
 			fmt.Sprintf("%d", r.ExactWorkers),
-			string(r.Branching),
 			fmt.Sprintf("%d", r.SimplexIters),
 			fmt.Sprintf("%d", r.WarmHits),
 			fmt.Sprintf("%d/%d", r.PresolveRows, r.PresolveCols),

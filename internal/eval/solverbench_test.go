@@ -10,34 +10,17 @@ import (
 	"flexwan/internal/solver"
 )
 
-// TestEngineDifferentialLadder is the end-to-end engine differential on
-// the real planning MIP: across the benchmark scaling ladder, the dense
-// tableau, the revised simplex under Forrest–Tomlin updates, and the
-// revised simplex under the product-form eta file must reach the SAME
-// optimal objective (exact float equality — every engine proves
-// optimality, and the acceptance bar for this instance family is
-// bitwise-identical objective values), with presolve and node presolve
-// each toggled. The reported plan is also checked for internal
-// consistency: provisioned capacity covers demand.
+// TestEngineDifferentialLadder is the end-to-end differential on the real
+// planning MIP: across the benchmark scaling ladder, the solver must reach
+// the SAME optimal objective (exact float equality — every configuration
+// proves optimality, and the acceptance bar for this instance family is
+// bitwise-identical objective values) with presolve on and off and at one
+// and two branch-and-bound workers. The reported plan is also checked for
+// internal consistency: provisioned capacity covers demand.
 func TestEngineDifferentialLadder(t *testing.T) {
 	ladder := []int{16, 24, 32, 48, 64}
 	if testing.Short() {
 		ladder = []int{16, 24}
-	}
-	type cfg struct {
-		dense, etaFile, noPresolve, noNodePresolve bool
-		pricing                                    solver.PricingRule
-	}
-	cfgs := []cfg{
-		{},                     // default: revised + Forrest–Tomlin, devex, all passes on
-		{etaFile: true},        // product-form eta file
-		{dense: true},          // dense tableau
-		{noPresolve: true},     // global presolve off
-		{noNodePresolve: true}, // node presolve off
-		{etaFile: true, noPresolve: true},
-		{dense: true, noPresolve: true},
-		{pricing: solver.PricingDantzig},      // pricing must not change the answer
-		{pricing: solver.PricingSteepestEdge}, // (devex is the default cfg above)
 	}
 	for _, pixels := range ladder {
 		p, err := ExactScalingProblem(pixels)
@@ -46,34 +29,26 @@ func TestEngineDifferentialLadder(t *testing.T) {
 		}
 		var ref float64
 		haveRef := false
-		for _, c := range cfgs {
-			label := fmt.Sprintf("pixels=%d dense=%v eta=%v presolve=%v np=%v pricing=%s",
-				pixels, c.dense, c.etaFile, !c.noPresolve, !c.noNodePresolve, c.pricing)
-			res, err := plan.SolveExact(p, solver.Options{
-				MaxNodes: 100000, Workers: 1,
-				DenseSimplex: c.dense, EtaFileUpdates: c.etaFile,
-				NoPresolve: c.noPresolve, NoNodePresolve: c.noNodePresolve,
-				Pricing: c.pricing,
-			})
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			if res.Solver.Status != solver.Optimal {
-				t.Fatalf("%s: status %v", label, res.Solver.Status)
-			}
-			wantPricing := solver.Options{DenseSimplex: c.dense, Pricing: c.pricing}.EffectivePricing()
-			if res.Solver.PricingMode != wantPricing {
-				t.Fatalf("%s: stats report pricing %q, want %q", label, res.Solver.PricingMode, wantPricing)
-			}
-			if !haveRef {
-				ref, haveRef = res.Solver.Objective, true
-			} else if res.Solver.Objective != ref {
-				t.Fatalf("%s: objective %v, want %v (engines diverged)", label, res.Solver.Objective, ref)
-			}
-			for id, lp := range res.PerLink {
-				if lp.ProvisionedGbps < lp.DemandGbps {
-					t.Fatalf("%s: link %s provisioned %d < demand %d",
-						label, id, lp.ProvisionedGbps, lp.DemandGbps)
+		for _, noPresolve := range []bool{false, true} {
+			for _, workers := range []int{1, 2} {
+				label := fmt.Sprintf("pixels=%d presolve=%v workers=%d", pixels, !noPresolve, workers)
+				res, err := plan.SolveExact(p, solver.Options{MaxNodes: 100000, Workers: workers, NoPresolve: noPresolve})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if res.Solver.Status != solver.Optimal {
+					t.Fatalf("%s: status %v", label, res.Solver.Status)
+				}
+				if !haveRef {
+					ref, haveRef = res.Solver.Objective, true
+				} else if res.Solver.Objective != ref {
+					t.Fatalf("%s: objective %v, want %v (configurations diverged)", label, res.Solver.Objective, ref)
+				}
+				for id, lp := range res.PerLink {
+					if lp.ProvisionedGbps < lp.DemandGbps {
+						t.Fatalf("%s: link %s provisioned %d < demand %d",
+							label, id, lp.ProvisionedGbps, lp.DemandGbps)
+					}
 				}
 			}
 		}
@@ -82,161 +57,120 @@ func TestEngineDifferentialLadder(t *testing.T) {
 
 // TestExactTBackbone solves a full T-backbone instance exactly — all
 // clusters, core, and IP links of the synthetic backbone — and checks the
-// plan against demand, plus the FT/eta objective identity on a real
-// (non-line) topology. Kept at a small grid so it stays a unit test; the
-// benchmark ladder runs the bigger ones.
+// plan against demand, with no LP solve falling back to the dense
+// tableau. Kept at a small grid so it stays a unit test; the benchmark
+// ladder runs the bigger ones.
 func TestExactTBackbone(t *testing.T) {
 	p, err := ExactTBackboneProblem(1, 0.02, 32, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ref float64
-	haveRef := false
-	for _, etaFile := range []bool{false, true} {
-		res, err := plan.SolveExact(p, solver.Options{
-			MaxNodes: 200000, Workers: 1, EtaFileUpdates: etaFile,
-		})
-		if err != nil {
-			t.Fatalf("etaFile=%v: %v", etaFile, err)
-		}
-		if res.Solver.Status != solver.Optimal {
-			t.Fatalf("etaFile=%v: status %v", etaFile, res.Solver.Status)
-		}
-		if !haveRef {
-			ref, haveRef = res.Solver.Objective, true
-		} else if res.Solver.Objective != ref {
-			t.Fatalf("etaFile=%v: objective %v, want %v", etaFile, res.Solver.Objective, ref)
-		}
-		for id, lp := range res.PerLink {
-			if lp.ProvisionedGbps < lp.DemandGbps {
-				t.Fatalf("etaFile=%v: link %s provisioned %d < demand %d",
-					etaFile, id, lp.ProvisionedGbps, lp.DemandGbps)
-			}
+	res, err := plan.SolveExact(p, solver.Options{MaxNodes: 200000, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Solver.Status != solver.Optimal {
+		t.Fatalf("status %v", res.Solver.Status)
+	}
+	if res.Solver.DenseFallbacks != 0 {
+		t.Fatalf("%d LP solves fell back to the dense tableau", res.Solver.DenseFallbacks)
+	}
+	for id, lp := range res.PerLink {
+		if lp.ProvisionedGbps < lp.DemandGbps {
+			t.Fatalf("link %s provisioned %d < demand %d", id, lp.ProvisionedGbps, lp.DemandGbps)
 		}
 	}
 }
 
 // TestSolverBenchmarksSmoke runs the benchmark harness at minimal
-// iteration counts and checks the ablation dimensions: every instance
-// must contribute one dense, one revised-eta, and one node-presolve-off
-// point (dense skipped on SkipDense instances), engines must be labelled,
-// and bytes/op must be reported nonzero.
+// iteration counts and checks the record's shape: one point per worker
+// count plus one presolve-off point, bytes/op reported nonzero, and the
+// warm-start rate omitted exactly on single-node searches.
 func TestSolverBenchmarksSmoke(t *testing.T) {
 	instances := []SolverBenchInstance{{Name: "exact-planning/pixels=12", Pixels: 12}}
-	bench, err := SolverBenchmarks(instances, []int{1}, 1, 0)
+	bench, err := SolverBenchmarks(instances, []int{1, 2}, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var denseN, etaN, revisedN, npOffN, dantzigN int
+	if len(bench.Points) != 3 {
+		t.Fatalf("%d points, want 3 (workers 1 and 2, presolve off)", len(bench.Points))
+	}
+	presolveOff := 0
 	for _, pt := range bench.Points {
-		switch pt.Engine {
-		case "dense":
-			denseN++
-			if pt.Pricing != string(solver.PricingDantzig) {
-				t.Fatalf("dense point %s: pricing %q, want %q (the tableau knows only Dantzig)", pt.Instance, pt.Pricing, solver.PricingDantzig)
+		if !pt.Presolve {
+			presolveOff++
+			if pt.Workers != 1 {
+				t.Fatalf("presolve-off point at workers=%d, want 1", pt.Workers)
 			}
-		case "revised-eta":
-			etaN++
-		case "revised":
-			revisedN++
-			if pt.Pricing == string(solver.PricingDantzig) {
-				dantzigN++
-			}
-		default:
-			t.Fatalf("point %s has unknown engine %q", pt.Instance, pt.Engine)
-		}
-		if pt.Pricing == "" {
-			t.Fatalf("point %s engine=%s: pricing not recorded", pt.Instance, pt.Engine)
-		}
-		if !pt.NodePresolve {
-			npOffN++
 		}
 		if pt.BytesPerOp <= 0 || math.IsNaN(pt.BytesPerOp) {
-			t.Fatalf("point %s engine=%s: BytesPerOp = %v", pt.Instance, pt.Engine, pt.BytesPerOp)
+			t.Fatalf("point %s workers=%d: BytesPerOp = %v", pt.Instance, pt.Workers, pt.BytesPerOp)
 		}
-		if pt.Engine != "dense" && pt.Refactorizations == 0 {
-			t.Fatalf("point %s engine=%s: Refactorizations = 0", pt.Instance, pt.Engine)
+		if pt.Refactorizations == 0 {
+			t.Fatalf("point %s workers=%d: Refactorizations = 0", pt.Instance, pt.Workers)
 		}
 		// A single-node solve has no dives to warm-start: the rate must
 		// be omitted (nil), not recorded as a misleading zero.
 		if pt.Nodes <= 1 && pt.WarmStartRate != nil {
-			t.Fatalf("point %s engine=%s: nodes=%d but warm_start_rate=%v, want omitted", pt.Instance, pt.Engine, pt.Nodes, *pt.WarmStartRate)
+			t.Fatalf("point %s: nodes=%d but warm_start_rate=%v, want omitted", pt.Instance, pt.Nodes, *pt.WarmStartRate)
 		}
 		if pt.Nodes > 1 && pt.WarmStartRate == nil {
-			t.Fatalf("point %s engine=%s: nodes=%d but warm_start_rate omitted", pt.Instance, pt.Engine, pt.Nodes)
+			t.Fatalf("point %s: nodes=%d but warm_start_rate omitted", pt.Instance, pt.Nodes)
 		}
 	}
-	if denseN != 1 {
-		t.Fatalf("dense ablation points = %d, want 1 per instance", denseN)
+	if presolveOff != 1 {
+		t.Fatalf("presolve-off points = %d, want 1 per instance", presolveOff)
 	}
-	if etaN != 1 {
-		t.Fatalf("revised-eta ablation points = %d, want 1 per instance", etaN)
-	}
-	if npOffN != 1 {
-		t.Fatalf("node-presolve-off ablation points = %d, want 1 per instance", npOffN)
-	}
-	if dantzigN != 1 {
-		t.Fatalf("dantzig pricing ablation points = %d, want 1 per instance", dantzigN)
-	}
-	if revisedN < 4 {
-		t.Fatalf("revised points = %d, want >= 4 (sweep + presolve + node-presolve + pricing ablations)", revisedN)
-	}
-	if !strings.Contains(bench.String(), "dense") {
-		t.Fatal("rendered table missing the engine column")
+	if !strings.Contains(bench.String(), "presolve") {
+		t.Fatal("rendered table missing the presolve column")
 	}
 }
 
-// TestSolverBenchSkipDense checks the dense ablation is skipped on
-// instances marked too large for the tableau.
-func TestSolverBenchSkipDense(t *testing.T) {
-	instances := []SolverBenchInstance{{Name: "exact-planning/pixels=12", Pixels: 12, SkipDense: true}}
+// TestSolverBenchSkipPresolveOff checks the presolve-off ablation is
+// skipped on instances marked SkipPresolveOff.
+func TestSolverBenchSkipPresolveOff(t *testing.T) {
+	instances := []SolverBenchInstance{{Name: "exact-planning/pixels=12", Pixels: 12, SkipPresolveOff: true}}
 	bench, err := SolverBenchmarks(instances, []int{1}, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, pt := range bench.Points {
-		if pt.Engine == "dense" {
-			t.Fatalf("SkipDense instance produced a dense point: %+v", pt)
+		if !pt.Presolve {
+			t.Fatalf("SkipPresolveOff instance produced a presolve-off point: %+v", pt)
 		}
 	}
 }
 
-// TestExactCrossCheckPricing drives the backend of `flexwan-experiments
-// -fig exact -pricing <rule>`: every rule must reach the same exact
-// transponder count (matching the heuristic on these instances), so the
-// CLI's pricing switch can never change reported planning quality.
-func TestExactCrossCheckPricing(t *testing.T) {
+// TestExactCrossCheckPresolve drives the backend of `flexwan-experiments
+// -fig exact [-no-presolve]`: with presolve on and off the exact
+// transponder count must be the same and match the heuristic on this
+// instance, and only the presolve run may report reductions.
+func TestExactCrossCheckPresolve(t *testing.T) {
 	var refTx int
-	for i, rule := range []solver.PricingRule{solver.PricingDantzig, solver.PricingDevex, solver.PricingSteepestEdge} {
-		rows, err := ExactCrossCheck([]int{16}, 1, solver.BranchPseudocost, rule, false)
+	for _, noPresolve := range []bool{false, true} {
+		rows, err := ExactCrossCheck([]int{16}, 1, noPresolve)
 		if err != nil {
-			t.Fatalf("pricing=%s: %v", rule, err)
+			t.Fatalf("presolve=%v: %v", !noPresolve, err)
 		}
 		if len(rows) != 1 {
-			t.Fatalf("pricing=%s: %d rows, want 1", rule, len(rows))
+			t.Fatalf("presolve=%v: %d rows, want 1", !noPresolve, len(rows))
 		}
-		if rows[0].HeuristicTx != rows[0].ExactTx {
-			t.Fatalf("pricing=%s: heuristic %d vs exact %d transponders", rule, rows[0].HeuristicTx, rows[0].ExactTx)
+		r := rows[0]
+		if r.HeuristicTx != r.ExactTx {
+			t.Fatalf("presolve=%v: heuristic %d vs exact %d transponders", !noPresolve, r.HeuristicTx, r.ExactTx)
 		}
-		if i == 0 {
-			refTx = rows[0].ExactTx
-		} else if rows[0].ExactTx != refTx {
-			t.Fatalf("pricing=%s: exact tx %d, want %d (pricing changed the answer)", rule, rows[0].ExactTx, refTx)
-		}
-	}
-}
-
-// TestSolverBenchSkipDantzig checks the Dantzig pricing ablation is
-// skipped on instances whose degeneracy stalls unweighted pricing.
-func TestSolverBenchSkipDantzig(t *testing.T) {
-	instances := []SolverBenchInstance{{Name: "exact-planning/pixels=12", Pixels: 12, SkipDense: true, SkipDantzig: true}}
-	bench, err := SolverBenchmarks(instances, []int{1}, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pt := range bench.Points {
-		if pt.Pricing == string(solver.PricingDantzig) {
-			t.Fatalf("SkipDantzig instance produced a dantzig point: %+v", pt)
+		if !noPresolve {
+			refTx = r.ExactTx
+			if r.PresolveRows+r.PresolveCols == 0 {
+				t.Fatal("presolve on reported no reductions")
+			}
+		} else {
+			if r.ExactTx != refTx {
+				t.Fatalf("presolve off: exact tx %d, want %d", r.ExactTx, refTx)
+			}
+			if r.PresolveRows+r.PresolveCols != 0 {
+				t.Fatalf("presolve off reported %d/%d reductions", r.PresolveRows, r.PresolveCols)
+			}
 		}
 	}
 }

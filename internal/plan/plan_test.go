@@ -498,9 +498,8 @@ func TestHeuristicMatchesExactCount(t *testing.T) {
 
 func TestSolveExactTooLarge(t *testing.T) {
 	// A default-grid SVT instance explodes past the build cap and must be
-	// refused, not attempted. The cap is per-engine (Options.MaxBuildVars):
-	// the dense tableau refuses at its 8000-column default, and an explicit
-	// Options.MaxVars binds regardless of engine.
+	// refused, not attempted, at any explicit Options.MaxVars below its
+	// size (Options.MaxBuildVars).
 	ip := &topology.IPTopology{}
 	for i := 0; i < 10; i++ {
 		id := string(rune('a' + i))
@@ -515,11 +514,13 @@ func TestSolveExactTooLarge(t *testing.T) {
 		Grid:    spectrum.DefaultGrid(),
 		K:       3,
 	}
-	if _, err := SolveExact(p, solver.Options{DenseSimplex: true}); err == nil {
-		t.Error("oversized exact MIP accepted by the dense engine cap")
-	}
-	if _, err := SolveExact(p, solver.Options{MaxVars: 100}); err == nil {
-		t.Error("oversized exact MIP accepted despite explicit MaxVars")
+	for _, maxVars := range []int{100, 8000} {
+		_, err := SolveExact(p, solver.Options{MaxVars: maxVars})
+		if err == nil {
+			t.Errorf("oversized exact MIP accepted despite MaxVars %d", maxVars)
+		} else if !strings.Contains(err.Error(), fmt.Sprint(maxVars)) {
+			t.Errorf("MaxVars %d refusal does not name the cap: %v", maxVars, err)
+		}
 	}
 }
 

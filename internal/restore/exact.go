@@ -23,6 +23,9 @@ func SolveExact(p Problem, opts solver.Options) (*Result, error) {
 	if p.Base == nil {
 		return nil, fmt.Errorf("restore: nil base plan")
 	}
+	if err := checkCutFibers(p); err != nil {
+		return nil, err
+	}
 	failed, surviving := affected(p.Base, p.Scenario.CutFibers)
 	res := &Result{
 		Scenario: p.Scenario,
@@ -128,7 +131,7 @@ func SolveExact(p Problem, opts solver.Options) (*Result, error) {
 						}
 					}
 					if m.NumVars() > opts.MaxBuildVars() {
-						return nil, fmt.Errorf("restore: exact MIP exceeds %d variables (Options.MaxVars; default per LP engine); use the heuristic Solve or raise the cap", opts.MaxBuildVars())
+						return nil, fmt.Errorf("restore: exact MIP exceeds %d variables (Options.MaxVars; default solver.DefaultMaxVars); use the heuristic Solve or raise the cap", opts.MaxBuildVars())
 					}
 				}
 			}
@@ -173,10 +176,7 @@ func SolveExact(p Problem, opts solver.Options) (*Result, error) {
 		}
 	}
 
-	sol, err := m.SolveWithOptions(opts)
-	if err != nil {
-		return nil, fmt.Errorf("restore: %w", err)
-	}
+	sol := m.SolveWithOptions(opts)
 	res.Solver = plan.NewSolveStats(sol)
 	if sol.Status == solver.Infeasible || sol.Status == solver.Unbounded {
 		return nil, fmt.Errorf("restore: exact MIP %v — formulation bug (0 restoration is always feasible)", sol.Status)

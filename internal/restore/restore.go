@@ -173,6 +173,19 @@ func survivorAllocator(grid spectrum.Grid, surviving []plan.Wavelength) (*spectr
 	return a, nil
 }
 
+// checkCutFibers rejects a scenario that cuts a fiber the optical
+// topology does not have. Without it a typo'd fiber ID affects no
+// wavelength and "restores 0 of 0 Gbps", indistinguishable from a
+// harmless cut.
+func checkCutFibers(p Problem) error {
+	for _, id := range p.Scenario.CutFibers {
+		if _, ok := p.Optical.Fiber(id); !ok {
+			return fmt.Errorf("restore: scenario %s cuts unknown fiber %q", p.Scenario.ID, id)
+		}
+	}
+	return nil
+}
+
 // Solve runs the restoration heuristic for one scenario.
 //
 // Affected links are processed in order of decreasing affected capacity
@@ -186,6 +199,9 @@ func survivorAllocator(grid spectrum.Grid, surviving []plan.Wavelength) (*spectr
 func Solve(p Problem) (*Result, error) {
 	if p.Base == nil {
 		return nil, fmt.Errorf("restore: nil base plan")
+	}
+	if err := checkCutFibers(p); err != nil {
+		return nil, err
 	}
 	failed, surviving := affected(p.Base, p.Scenario.CutFibers)
 	res := &Result{

@@ -1,9 +1,11 @@
 package restore
 
 import (
+	"strings"
 	"testing"
 
 	"flexwan/internal/plan"
+	"flexwan/internal/solver"
 	"flexwan/internal/spectrum"
 	"flexwan/internal/topology"
 	"flexwan/internal/transponder"
@@ -299,5 +301,23 @@ func TestMeanCapabilityEmpty(t *testing.T) {
 	var s SweepResult
 	if s.MeanCapability() != 1 {
 		t.Errorf("empty sweep capability = %v, want 1", s.MeanCapability())
+	}
+}
+
+// TestSolveUnknownCutFiber: a scenario cutting a fiber the topology does
+// not have is an error naming the fiber — for the heuristic and the exact
+// MIP alike — not a no-op that "restores 0 of 0 Gbps".
+func TestSolveUnknownCutFiber(t *testing.T) {
+	g := ring(t)
+	p, r := planFor(t, g, ipAB(t, 400), transponder.SVT(), spectrum.DefaultGrid())
+	prob := Problem{
+		Optical: g, IP: p.IP, Catalog: p.Catalog, Grid: p.Grid, Base: r,
+		Scenario: Scenario{ID: "typo", CutFibers: []string{"f1", "f9"}},
+	}
+	if _, err := Solve(prob); err == nil || !strings.Contains(err.Error(), `"f9"`) {
+		t.Fatalf("Solve: err = %v, want an error naming fiber \"f9\"", err)
+	}
+	if _, err := SolveExact(prob, solver.Options{Workers: 1}); err == nil || !strings.Contains(err.Error(), `"f9"`) {
+		t.Fatalf("SolveExact: err = %v, want an error naming fiber \"f9\"", err)
 	}
 }

@@ -10,13 +10,10 @@ import (
 // intTol is the tolerance under which a relaxation value counts as integral.
 const intTol = 1e-6
 
-// Solve solves the model exactly: as an LP when it has no integer
-// variables, otherwise with LP-relaxation branch-and-bound. Default
-// options are always valid, so unlike SolveWithOptions no error is
-// possible.
+// Solve solves the model exactly with default options: as an LP when it
+// has no integer variables, otherwise with LP-relaxation branch-and-bound.
 func (m *Model) Solve() Solution {
-	sol, _ := m.SolveWithOptions(Options{})
-	return sol
+	return m.SolveWithOptions(Options{})
 }
 
 // SolveWithOptions solves with explicit search limits. Branch-and-bound
@@ -25,28 +22,20 @@ func (m *Model) Solve() Solution {
 // set, the model is first reduced by the presolve layer (bound
 // propagation, substitution, redundant-row and duplicate-column removal)
 // and the solution is rehydrated against the original VarIDs afterwards.
-// An error is returned on invalid options (e.g. an unrecognized
-// Options.Branching rule) without starting a search.
-func (m *Model) SolveWithOptions(opts Options) (Solution, error) {
-	opts, err := opts.withDefaults()
-	if err != nil {
-		return Solution{}, err
-	}
+func (m *Model) SolveWithOptions(opts Options) Solution {
+	opts = opts.withDefaults()
 	if opts.NoPresolve {
-		return m.solveReduced(opts), nil
+		return m.solveReduced(opts)
 	}
 	p := m.presolve(opts.Logf)
 	if p.infeasible {
 		return Solution{
 			Status:       Infeasible,
-			Branching:    opts.Branching,
-			Pricing:      opts.EffectivePricing(),
 			PresolveRows: p.rowsRemoved,
 			PresolveCols: p.colsRemoved,
-		}, nil
+		}
 	}
-	sol := p.reduced.solveReduced(opts)
-	return p.postsolve(sol), nil
+	return p.postsolve(p.reduced.solveReduced(opts))
 }
 
 // solveReduced runs the actual search on m as-is: as an LP when it has no
@@ -287,9 +276,9 @@ type bbSearch struct {
 	lu           lpStats // basis health summed over root + worker engines
 	npFixings    int     // node-presolve bound tightenings across all nodes
 
-	// Pseudocost bookkeeping (nil slices unless Branching is pseudocost).
-	// Guarded by mu like everything else: updates happen in processLocked
-	// when a child's relaxation is reported, reads in selectBranchLocked.
+	// Pseudocost bookkeeping, guarded by mu like everything else: updates
+	// happen in processLocked when a child's relaxation is reported, reads
+	// in selectBranchLocked.
 	// pcDown* is the ub-tightened (floor) side, pcUp* the lb-raised (ceil)
 	// side; the Tot* aggregates provide the reliability fallback for
 	// variables with no observations of their own yet.
@@ -320,7 +309,6 @@ func (m *Model) branchAndBound(opts Options) Solution {
 			root.Status = LimitReached
 		}
 		root.Workers = workers
-		root.Branching = opts.Branching
 		return root
 	}
 
@@ -347,13 +335,11 @@ func (m *Model) branchAndBound(opts Options) Solution {
 			weightResets:   root.WeightResets,
 		},
 	}
-	if opts.Branching == BranchPseudocost {
-		nv := len(m.vars)
-		s.pcDownSum = make([]float64, nv)
-		s.pcUpSum = make([]float64, nv)
-		s.pcDownN = make([]int, nv)
-		s.pcUpN = make([]int, nv)
-	}
+	nv := len(m.vars)
+	s.pcDownSum = make([]float64, nv)
+	s.pcUpSum = make([]float64, nv)
+	s.pcDownN = make([]int, nv)
+	s.pcUpN = make([]int, nv)
 	s.cond = sync.NewCond(&s.mu)
 	for i := range s.active {
 		s.active[i] = math.NaN()
@@ -420,7 +406,7 @@ func (s *bbSearch) worker(id int) {
 	var tabBounds *boundChange
 	var diveChanges []*boundChange
 	var np *npState
-	if !s.opts.NoNodePresolve {
+	if !s.opts.noNodePresolve {
 		np = newNpState(s.m)
 	}
 	fellBack := 0 // dense fallbacks already logged for this worker
@@ -513,7 +499,7 @@ func (s *bbSearch) worker(id int) {
 		var sol Solution
 		warm, dove := false, false
 		iters := 0
-		if !s.opts.NoWarmStart && node.snap != nil && node.snap == tabOwner {
+		if !s.opts.noWarmStart && node.snap != nil && node.snap == tabOwner {
 			// Dive path: the engine still holds this node's parent's
 			// optimal state. Collect the bound changes separating the node
 			// from that solve (its branching plus any reduced-cost fixings)
@@ -536,7 +522,7 @@ func (s *bbSearch) worker(id int) {
 		}
 		if !warm {
 			eng.applyBounds(node.bounds)
-			if !s.opts.NoWarmStart && node.snap != nil && !dove {
+			if !s.opts.noWarmStart && node.snap != nil && !dove {
 				ws, ok := eng.solveWarm(node.snap)
 				iters += eng.pivots()
 				if ok {
@@ -698,7 +684,7 @@ func (s *bbSearch) processLocked(node *bbNode, sol Solution, snap any, fixBase *
 		// copy them out of the worker scratch, and recompute the objective
 		// from the snapped values — for integer-coefficient models this
 		// makes the incumbent objective exact, hence bit-identical across
-		// branching rules, worker counts, and warm/cold solve paths.
+		// worker counts and warm/cold solve paths.
 		values := append([]float64(nil), sol.Values...)
 		obj := 0.0
 		for i, v := range s.m.vars {
@@ -744,7 +730,7 @@ func (s *bbSearch) processLocked(node *bbNode, sol Solution, snap any, fixBase *
 // child ties its parent's bound, this is the only pseudocost signal there
 // is. Requires s.mu held.
 func (s *bbSearch) observePseudocostLocked(node *bbNode, sol Solution) {
-	if s.pcDownSum == nil || node.bounds == nil || node.fracStep <= intTol {
+	if node.bounds == nil || node.fracStep <= intTol {
 		return
 	}
 	var per float64
@@ -796,33 +782,24 @@ func pcEst(sum []float64, n []int, totSum float64, totN int, i int) float64 {
 	return 1
 }
 
-// selectBranchLocked picks the integer variable to branch on, or -1 when
-// the point is integral. Requires s.mu held (pseudocost reads).
+// selectBranchLocked picks the integer variable to branch on by
+// pseudocost, or -1 when the point is integral. Requires s.mu held
+// (pseudocost reads).
+//
+// The score is the product of the per-unit objective degradations
+// observed on past down/up branches of the variable, weighted by its
+// current fractionality; variables without observations of their own
+// borrow the tree-wide average. With Workers > 1 the scores depend on
+// the order workers report results, so the explored node count may vary
+// run to run (the objective at proven optimality does not).
 func (s *bbSearch) selectBranchLocked(values []float64) VarID {
-	if s.pcDownSum == nil {
-		// Most-fractional rule.
-		branchVar := VarID(-1)
-		worstFrac := intTol
-		for i, v := range s.m.vars {
-			if !v.integer {
-				continue
-			}
-			x := values[i]
-			frac := math.Abs(x - math.Round(x))
-			if frac > worstFrac {
-				worstFrac = frac
-				branchVar = VarID(i)
-			}
-		}
-		return branchVar
-	}
-	// Pseudocost product score. The 1e-6 floor is applied to each side's
-	// estimate, not to the estimate·fractionality product: on heavily
-	// degenerate instances every observed degradation is 0, and flooring
-	// the product would collapse all scores to one constant — turning the
-	// rule into lowest-index branching. Flooring the estimates keeps the
-	// score proportional to fDown·fUp, so a zero-information pseudocost
-	// rule degenerates to most-fractional instead. Strict > keeps the
+	// The 1e-6 floor is applied to each side's estimate, not to the
+	// estimate·fractionality product: on heavily degenerate instances
+	// every observed degradation is 0, and flooring the product would
+	// collapse all scores to one constant — turning the rule into
+	// lowest-index branching. Flooring the estimates keeps the score
+	// proportional to fDown·fUp, so a zero-information pseudocost score
+	// picks the most fractional variable instead. Strict > keeps the
 	// first index on ties, making the pick deterministic given the same
 	// bookkeeping state.
 	best := VarID(-1)
@@ -925,8 +902,6 @@ func (s *bbSearch) finish(workers int) Solution {
 	out.Workers = workers
 	out.SimplexIters = s.simplexIters
 	out.WarmStartHits = s.warmHits
-	out.Branching = s.opts.Branching
-	out.Pricing = s.opts.EffectivePricing()
 	s.lu.addTo(&out)
 	out.NodePresolveFixings = s.npFixings
 	return out

@@ -43,22 +43,28 @@ func transportLP(t *testing.T, n int) *Model {
 // LP solve. The model is a pure LP, so the only place the context can be
 // observed is the pivot loop itself; before the pivot-interval check was
 // added, a canceled context was ignored entirely for pure-LP solves and
-// this returned Optimal. Both engines must honor it.
+// this returned Optimal. Both engines must honor it; the dense tableau
+// is called directly.
 func TestLPCancellationMidSolve(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
+	solve := func(dense bool, ctx context.Context) Solution {
+		if dense {
+			return transportLP(t, 12).solveRelaxation(Options{denseOracle: true, Context: ctx})
+		}
+		return transportLP(t, 12).SolveWithOptions(Options{Context: ctx})
+	}
 	for _, dense := range []bool{false, true} {
-		m := transportLP(t, 12)
 		// Sanity: without a context the LP solves to optimality and
 		// needs pivots (i.e. the instance is not presolved away).
-		ref := mustSolveOpts(t, transportLP(t, 12), Options{DenseSimplex: dense})
+		ref := solve(dense, nil)
 		if ref.Status != Optimal {
 			t.Fatalf("dense=%v reference status = %v, want optimal", dense, ref.Status)
 		}
 		if ref.SimplexIters == 0 {
 			t.Fatalf("dense=%v reference solve took 0 pivots; instance too easy to prove mid-LP cancellation", dense)
 		}
-		s := mustSolveOpts(t, m, Options{DenseSimplex: dense, Context: ctx})
+		s := solve(dense, ctx)
 		if s.Status != IterLimit {
 			t.Errorf("dense=%v cancelled LP status = %v, want iteration-limit", dense, s.Status)
 		}
@@ -81,7 +87,7 @@ func TestMIPCancellationMidLP(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, dense := range []bool{false, true} {
-		s := mustSolveOpts(t, hardKnapsack(t), Options{DenseSimplex: dense, Context: ctx})
+		s := hardKnapsack(t).SolveWithOptions(Options{denseOracle: dense, Context: ctx})
 		if s.Status != LimitReached {
 			t.Errorf("dense=%v cancelled MIP status = %v, want limit-reached", dense, s.Status)
 		}

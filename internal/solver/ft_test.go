@@ -62,13 +62,13 @@ func maxAbsDiff(a, b []float64) float64 {
 	return d
 }
 
-// TestForrestTomlinDifferential drives three factorizations of the same
-// evolving basis through random pivot sequences — Forrest–Tomlin updates,
-// the legacy product-form eta file, and a reference that refactorizes from
-// scratch after every pivot — and checks that FTRAN and BTRAN agree on all
-// three after every step. This is the correctness contract of the update
-// algebra: an updated factor must solve the same linear systems as a fresh
-// factorization of the updated basis.
+// TestForrestTomlinDifferential drives two factorizations of the same
+// evolving basis through random pivot sequences — Forrest–Tomlin updates
+// and a reference that refactorizes from scratch after every pivot — and
+// checks that FTRAN and BTRAN agree on both after every step. This is the
+// correctness contract of the update algebra: an updated factor must
+// solve the same linear systems as a fresh factorization of the updated
+// basis.
 func TestForrestTomlinDifferential(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		rng := rand.New(rand.NewSource(900 + int64(trial)))
@@ -84,12 +84,11 @@ func TestForrestTomlinDifferential(t *testing.T) {
 			inBasis[basis[r]] = true
 		}
 
-		ft := &luFactor{ft: true}
-		eta := &luFactor{}
+		ft := &luFactor{}
 		ref := &luFactor{}
 		x := make([]float64, nRows)
 		refactorAll := func() {
-			for _, f := range []*luFactor{ft, eta, ref} {
+			for _, f := range []*luFactor{ft, ref} {
 				if !f.factorize(basis, csc, x) {
 					t.Fatalf("trial %d: factorize failed on nonsingular basis", trial)
 				}
@@ -98,11 +97,9 @@ func TestForrestTomlinDifferential(t *testing.T) {
 		refactorAll()
 
 		wFT := make([]float64, nRows)
-		wEta := make([]float64, nRows)
 		wRef := make([]float64, nRows)
 		c := make([]float64, nRows)
 		bFT := make([]float64, nRows)
-		bEta := make([]float64, nRows)
 		bRef := make([]float64, nRows)
 
 		steps := 0
@@ -113,27 +110,24 @@ func TestForrestTomlinDifferential(t *testing.T) {
 			}
 			p := rng.Intn(nRows)
 
-			// FTRAN the entering column through all three factors.
+			// FTRAN the entering column through both factors.
 			for _, pair := range []struct {
 				f   *luFactor
 				out []float64
-			}{{ft, wFT}, {eta, wEta}, {ref, wRef}} {
+			}{{ft, wFT}, {ref, wRef}} {
 				scatterBasisCol(csc, enter, x)
 				pair.f.ftran(x, pair.out)
 			}
 			if d := maxAbsDiff(wFT, wRef); d > 1e-6 {
 				t.Fatalf("trial %d step %d: FT ftran diverges from fresh factorization by %g", trial, steps, d)
 			}
-			if d := maxAbsDiff(wEta, wRef); d > 1e-6 {
-				t.Fatalf("trial %d step %d: eta-file ftran diverges from fresh factorization by %g", trial, steps, d)
-			}
 			alphaP := wRef[p]
 			if math.Abs(alphaP) < 1e-2 {
 				continue // replacement would be near-singular; pick another
 			}
 
-			// Apply the pivot to each maintenance scheme, mirroring the
-			// production policy on update refusal.
+			// Apply the pivot, mirroring the production policy on update
+			// refusal.
 			leave := basis[p]
 			basis[p] = enter
 			delete(inBasis, leave)
@@ -143,35 +137,25 @@ func TestForrestTomlinDifferential(t *testing.T) {
 					t.Fatalf("trial %d step %d: FT refactorize failed", trial, steps)
 				}
 			}
-			if eta.nEtas() >= luMaxEtas {
-				if !eta.factorize(basis, csc, x) {
-					t.Fatalf("trial %d step %d: eta refactorize failed", trial, steps)
-				}
-			} else {
-				eta.appendEta(p, wEta)
-			}
 			if !ref.factorize(basis, csc, x) {
 				t.Fatalf("trial %d step %d: reference refactorize failed — basis became singular", trial, steps)
 			}
 			steps++
 
-			// BTRAN a random dual vector through all three.
+			// BTRAN a random dual vector through both.
 			for i := 0; i < nRows; i++ {
 				c[i] = rng.NormFloat64()
 			}
 			for _, pair := range []struct {
 				f   *luFactor
 				out []float64
-			}{{ft, bFT}, {eta, bEta}, {ref, bRef}} {
+			}{{ft, bFT}, {ref, bRef}} {
 				cc := make([]float64, nRows)
 				copy(cc, c)
 				pair.f.btran(cc, pair.out)
 			}
 			if d := maxAbsDiff(bFT, bRef); d > 1e-6 {
 				t.Fatalf("trial %d step %d: FT btran diverges from fresh factorization by %g", trial, steps, d)
-			}
-			if d := maxAbsDiff(bEta, bRef); d > 1e-6 {
-				t.Fatalf("trial %d step %d: eta-file btran diverges from fresh factorization by %g", trial, steps, d)
 			}
 		}
 		if steps < 40 {
@@ -183,19 +167,19 @@ func TestForrestTomlinDifferential(t *testing.T) {
 	}
 }
 
-// TestFTvsEtaFileObjectiveIdentity solves random MILPs under both basis
-// maintenance schemes (and the dense tableau as arbiter) and requires
-// identical status and objective: the update scheme is an implementation
-// detail of the LP engine and must never change what the search proves.
-func TestFTvsEtaFileObjectiveIdentity(t *testing.T) {
+// TestFTvsDenseObjectiveIdentity solves random MILPs on the
+// Forrest–Tomlin-maintained revised engine and on the dense tableau
+// oracle and requires identical status and objective: basis maintenance
+// is an implementation detail of the LP engine and must never change
+// what the search proves.
+func TestFTvsDenseObjectiveIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 200; trial++ {
 		m := randomMILP(rng, true)
-		ftSol := mustSolveOpts(t, m, Options{Workers: 1})
-		etaSol := mustSolveOpts(t, m, Options{Workers: 1, EtaFileUpdates: true})
-		denseSol := mustSolveOpts(t, m, Options{Workers: 1, DenseSimplex: true})
-		if ftSol.Status != etaSol.Status || ftSol.Status != denseSol.Status {
-			t.Fatalf("trial %d: status FT=%v eta=%v dense=%v", trial, ftSol.Status, etaSol.Status, denseSol.Status)
+		ftSol := m.SolveWithOptions(Options{Workers: 1})
+		denseSol := m.SolveWithOptions(Options{Workers: 1, denseOracle: true})
+		if ftSol.Status != denseSol.Status {
+			t.Fatalf("trial %d: status FT=%v dense=%v", trial, ftSol.Status, denseSol.Status)
 		}
 		if ftSol.Status != Optimal {
 			continue
@@ -203,9 +187,6 @@ func TestFTvsEtaFileObjectiveIdentity(t *testing.T) {
 		tol := 1e-6 * math.Max(1, math.Abs(denseSol.Objective))
 		if math.Abs(ftSol.Objective-denseSol.Objective) > tol {
 			t.Fatalf("trial %d: FT objective %v != dense %v", trial, ftSol.Objective, denseSol.Objective)
-		}
-		if math.Abs(etaSol.Objective-denseSol.Objective) > tol {
-			t.Fatalf("trial %d: eta objective %v != dense %v", trial, etaSol.Objective, denseSol.Objective)
 		}
 		checkFeasible(t, m, ftSol, fmt.Sprintf("trial %d (FT)", trial))
 	}
@@ -219,8 +200,8 @@ func TestNodePresolveObjectiveIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 300; trial++ {
 		m := randomMILP(rng, true)
-		on := mustSolveOpts(t, m, Options{Workers: 1})
-		off := mustSolveOpts(t, m, Options{Workers: 1, NoNodePresolve: true})
+		on := m.SolveWithOptions(Options{Workers: 1})
+		off := m.SolveWithOptions(Options{Workers: 1, noNodePresolve: true})
 		if on.Status != off.Status {
 			t.Fatalf("trial %d: status with node presolve %v, without %v", trial, on.Status, off.Status)
 		}
@@ -251,8 +232,8 @@ func TestNodePresolveFixingsReported(t *testing.T) {
 		mustCon(t, m, "c3", []Term{{y, 2}, {z, 3}}, LE, 11)
 		return m
 	}
-	on := mustSolveOpts(t, build(), Options{Workers: 1, NoPresolve: true})
-	off := mustSolveOpts(t, build(), Options{Workers: 1, NoPresolve: true, NoNodePresolve: true})
+	on := build().SolveWithOptions(Options{Workers: 1, NoPresolve: true})
+	off := build().SolveWithOptions(Options{Workers: 1, NoPresolve: true, noNodePresolve: true})
 	if on.Status != Optimal || off.Status != Optimal {
 		t.Fatalf("status on=%v off=%v", on.Status, off.Status)
 	}
@@ -260,7 +241,7 @@ func TestNodePresolveFixingsReported(t *testing.T) {
 		t.Fatalf("objective diverged: on=%v off=%v", on.Objective, off.Objective)
 	}
 	if off.NodePresolveFixings != 0 {
-		t.Fatalf("NoNodePresolve run reported %d fixings", off.NodePresolveFixings)
+		t.Fatalf("node-presolve-off run reported %d fixings", off.NodePresolveFixings)
 	}
 	if on.Nodes > 1 && on.NodePresolveFixings == 0 {
 		t.Fatalf("search branched (%d nodes) but node presolve reported no propagated tightenings", on.Nodes)
@@ -281,7 +262,7 @@ func TestDenseFallbackCountedAndLogged(t *testing.T) {
 	z := m.AddIntVar("z", 0, 5, 1)
 	mustCon(t, m, "ray", []Term{{y, 1}, {x, -1}}, LE, 3)
 	mustCon(t, m, "zmin", []Term{{z, 2}}, GE, 1)
-	sol := mustSolveOpts(t, m, Options{
+	sol := m.SolveWithOptions(Options{
 		Workers:    1,
 		NoPresolve: true, // presolve would round z up and solve the rest as a pure LP
 		Logf:       func(f string, a ...interface{}) { logs = append(logs, fmt.Sprintf(f, a...)) },
@@ -314,7 +295,7 @@ func TestDenseFallbackCountedAndLogged(t *testing.T) {
 func TestSolveStatsPopulated(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m := randomMILP(rng, true)
-	sol := mustSolveOpts(t, m, Options{Workers: 1})
+	sol := m.SolveWithOptions(Options{Workers: 1})
 	if sol.Status != Optimal {
 		t.Fatalf("status = %v", sol.Status)
 	}
@@ -327,7 +308,7 @@ func TestSolveStatsPopulated(t *testing.T) {
 	if sol.PeakUFill == 0 {
 		t.Error("PeakUFill = 0 after a revised-engine solve")
 	}
-	dense := mustSolveOpts(t, m, Options{Workers: 1, DenseSimplex: true})
+	dense := m.SolveWithOptions(Options{Workers: 1, denseOracle: true})
 	if dense.Refactorizations != 0 || dense.PeakUFill != 0 {
 		t.Errorf("dense engine reported LU stats: %d refactorizations, %d fill", dense.Refactorizations, dense.PeakUFill)
 	}

@@ -11,12 +11,6 @@ const (
 	// fresh factorization instead of a basis update: dividing by a tiny
 	// w_p amplifies error through every later FTRAN/BTRAN.
 	luEtaTol = 1e-7
-	// luMaxEtas bounds the legacy product-form eta file before a periodic
-	// refactorization: each eta adds O(nnz(w)) work to every solve, so past
-	// this point refactorizing is both cheaper and more accurate. Only the
-	// eta-file mode (Options.EtaFileUpdates) uses it; Forrest–Tomlin mode
-	// refactorizes on measured fill growth instead.
-	luMaxEtas = 64
 	// luDriftTol is the relative disagreement allowed between the
 	// Forrest–Tomlin diagonal identity d_new = w_p·d_old and the value the
 	// row elimination actually produces before the factorization is declared
@@ -154,27 +148,21 @@ func (s *uStore) clear(line int) { s.count[line] = 0 }
 //
 //	P·B₀ = L·U        (left-looking sparse LU, unit-diagonal L)
 //
-// maintained across pivots in one of two modes:
-//
-//   - Forrest–Tomlin (ft=true, the default): U is kept as a dynamic sparse
-//     permuted-triangular factor (uStore rows+columns plus a sequence
-//     order). Each pivot replaces one U column with the partially
-//     transformed spike and restores triangularity with a single row
-//     elimination recorded as a row eta R = I − e_p·rᵀ sitting between L
-//     and U. Refactorization is adaptive: measured fill growth or numerical
-//     drift against the determinant identity d_new = w_p·d_old.
-//   - product-form eta file (ft=false, Options.EtaFileUpdates): each pivot
-//     appends E = I + (w−e_p)e_pᵀ after U, with a fixed refactorization
-//     cap of luMaxEtas.
+// maintained across pivots by Forrest–Tomlin updates: U is kept as a
+// dynamic sparse permuted-triangular factor (uStore rows+columns plus a
+// sequence order). Each pivot replaces one U column with the partially
+// transformed spike and restores triangularity with a single row
+// elimination recorded as a row eta R = I − e_p·rᵀ sitting between L and
+// U. Refactorization is adaptive: measured fill growth or numerical drift
+// against the determinant identity d_new = w_p·d_old.
 //
 // FTRAN solves B·w = a; BTRAN solves Bᵀ·v = c. L rows are indexed in
 // original constraint-row space, U in pivot order (which equals basis
-// position), etas in basis-position space. All buffers are retained across
-// factorizations, so a branch-and-bound worker refactorizing thousands of
-// times allocates only on growth.
+// position), row etas in basis-position space. All buffers are retained
+// across factorizations, so a branch-and-bound worker refactorizing
+// thousands of times allocates only on growth.
 type luFactor struct {
 	m    int
-	ft   bool    // Forrest–Tomlin mode (vs legacy product-form eta file)
 	perm []int32 // pivot order k → original row
 	pinv []int32 // original row → pivot order
 
@@ -182,16 +170,15 @@ type luFactor struct {
 	lIdx []int32 // original-row index of each below-diagonal L entry
 	lVal []float64
 
+	// Static U from the last factorization, loaded into the dynamic store
+	// us by loadFT.
 	uPtr  []int32 // len m+1; static U column j (above-diagonal) entries
 	uIdx  []int32 // pivot-order index k < j
 	uVal  []float64
-	udiag []float64 // U diagonal per column (live in both modes)
+	udiag []float64 // U diagonal per column
 
-	// Eta storage. In ft mode these are the row etas R_e = I − e_p·rᵀ
-	// applied between L and U (etaPiv unused); in eta-file mode the
-	// product-form etas applied after U, with etaPiv the spike pivot.
+	// The row etas R_e = I − e_p·rᵀ applied between L and U.
 	etaPos []int32
-	etaPiv []float64
 	etaPtr []int32 // len nEtas+1; offsets into etaIdx/etaVal
 	etaIdx []int32
 	etaVal []float64
@@ -215,10 +202,10 @@ type luFactor struct {
 	// Health counters, cumulative over the factor's lifetime (one factor
 	// per branch-and-bound worker engine).
 	nFactor  int // full factorizations
-	nUpdate  int // in-place basis updates (FT or eta append)
+	nUpdate  int // in-place Forrest–Tomlin basis updates
 	nFtran   int
 	nBtran   int
-	peakFill int // peak of U nnz (diag included) + eta nnz
+	peakFill int // peak of U nnz (diag included) + row-eta nnz
 }
 
 func growInt32(s []int32, n int) []int32 {
@@ -228,14 +215,12 @@ func growInt32(s []int32, n int) []int32 {
 	return s[:n]
 }
 
-func (f *luFactor) nEtas() int { return len(f.etaPos) }
-
 // factorize computes P·B = L·U for the basis given as one column index
-// per row position (structural column, or cols+r for row r's slack), and
-// clears the eta file. In Forrest–Tomlin mode the fresh U is then loaded
-// into the dynamic store. Returns false when the basis is numerically
-// singular. The caller's dense work vectors must be zero on entry; x is
-// used as the dense accumulation column and is zero again on return.
+// per row position (structural column, or cols+r for row r's slack),
+// clears the row etas, and loads the fresh U into the dynamic store.
+// Returns false when the basis is numerically singular. The caller's
+// dense work vectors must be zero on entry; x is used as the dense
+// accumulation column and is zero again on return.
 func (f *luFactor) factorize(basis []int32, csc *cscMatrix, x []float64) bool {
 	m := csc.rows
 	f.m = m
@@ -246,7 +231,7 @@ func (f *luFactor) factorize(basis []int32, csc *cscMatrix, x []float64) bool {
 	f.uPtr = growInt32(f.uPtr, m+1)
 	f.lIdx, f.lVal = f.lIdx[:0], f.lVal[:0]
 	f.uIdx, f.uVal = f.uIdx[:0], f.uVal[:0]
-	f.etaPos, f.etaPiv = f.etaPos[:0], f.etaPiv[:0]
+	f.etaPos = f.etaPos[:0]
 	f.etaIdx, f.etaVal = f.etaIdx[:0], f.etaVal[:0]
 	f.etaPtr = append(f.etaPtr[:0], 0)
 	f.mark = growBools(f.mark, m)
@@ -332,9 +317,7 @@ func (f *luFactor) factorize(basis []int32, csc *cscMatrix, x []float64) bool {
 		f.touch = touch[:0]
 	}
 	f.nFactor++
-	if f.ft {
-		f.loadFT()
-	}
+	f.loadFT()
 	if fill := len(f.uIdx) + m; fill > f.peakFill {
 		f.peakFill = fill
 	}
@@ -387,8 +370,7 @@ func (f *luFactor) loadFT() {
 // needRefactor reports whether the accumulated update fill has outgrown
 // the factorization: live U entries plus eta entries past twice the
 // post-factorization baseline (plus slack), or an eta count far beyond
-// anything useful (garbage backstop). Only meaningful in ft mode; the
-// eta-file mode uses the fixed luMaxEtas cap instead.
+// anything useful (garbage backstop).
 func (f *luFactor) needRefactor() bool {
 	if len(f.etaPos) >= 2*f.m+64 {
 		return true
@@ -398,8 +380,8 @@ func (f *luFactor) needRefactor() bool {
 
 // ftran solves B·out = x. x is dense in original-row space and is zeroed
 // on return; out is dense in basis-position space and fully overwritten.
-// In ft mode the pre-U-solve vector (the Forrest–Tomlin spike) is captured
-// in vbuf for a possible ftUpdate of this column.
+// The pre-U-solve vector (the Forrest–Tomlin spike) is captured in vbuf
+// for a possible ftUpdate of this column.
 func (f *luFactor) ftran(x, out []float64) {
 	f.nFtran++
 	// L solve in place (original-row space, pivot order).
@@ -416,51 +398,26 @@ func (f *luFactor) ftran(x, out []float64) {
 		out[k] = x[f.perm[k]]
 		x[f.perm[k]] = 0
 	}
-	if f.ft {
-		// Row etas in creation order: (R·z)[p] = z[p] − rᵀz.
-		for e := 0; e < len(f.etaPos); e++ {
-			p := f.etaPos[e]
-			dot := 0.0
-			for t := f.etaPtr[e]; t < f.etaPtr[e+1]; t++ {
-				dot += f.etaVal[t] * out[f.etaIdx[t]]
-			}
-			out[p] -= dot
+	// Row etas in creation order: (R·z)[p] = z[p] − rᵀz.
+	for e := 0; e < len(f.etaPos); e++ {
+		p := f.etaPos[e]
+		dot := 0.0
+		for t := f.etaPtr[e]; t < f.etaPtr[e+1]; t++ {
+			dot += f.etaVal[t] * out[f.etaIdx[t]]
 		}
-		copy(f.vbuf[:f.m], out[:f.m])
-		// Permuted U solve, backward in sequence order: every column entry
-		// sits at an earlier sequence position than its column.
-		for t := f.m - 1; t >= 0; t-- {
-			j := int(f.order[t])
-			v := out[j] / f.udiag[j]
-			out[j] = v
-			if v != 0 {
-				ci, cv := f.us.entries(j)
-				for q, k := range ci {
-					out[k] -= v * cv[q]
-				}
-			}
-		}
-		return
+		out[p] -= dot
 	}
-	// U solve (backward; pivot order equals basis position for columns).
-	for j := f.m - 1; j >= 0; j-- {
+	copy(f.vbuf[:f.m], out[:f.m])
+	// Permuted U solve, backward in sequence order: every column entry
+	// sits at an earlier sequence position than its column.
+	for t := f.m - 1; t >= 0; t-- {
+		j := int(f.order[t])
 		v := out[j] / f.udiag[j]
 		out[j] = v
 		if v != 0 {
-			for t := f.uPtr[j]; t < f.uPtr[j+1]; t++ {
-				out[f.uIdx[t]] -= v * f.uVal[t]
-			}
-		}
-	}
-	// Eta file in creation order: E⁻¹z scales position p then updates the
-	// spike's other nonzeros.
-	for e := 0; e < len(f.etaPos); e++ {
-		p := f.etaPos[e]
-		zp := out[p] / f.etaPiv[e]
-		out[p] = zp
-		if zp != 0 {
-			for t := f.etaPtr[e]; t < f.etaPtr[e+1]; t++ {
-				out[f.etaIdx[t]] -= zp * f.etaVal[t]
+			ci, cv := f.us.entries(j)
+			for q, k := range ci {
+				out[k] -= v * cv[q]
 			}
 		}
 	}
@@ -469,8 +426,8 @@ func (f *luFactor) ftran(x, out []float64) {
 // saveSpike copies the pending Forrest–Tomlin spike — the pre-U-solve
 // vector the most recent ftran captured for ftUpdate — into dst, so a
 // caller can run another ftran against the factor (which overwrites the
-// capture) and then restoreSpike before the update. Only meaningful in ft
-// mode; dst must have length ≥ m.
+// capture) and then restoreSpike before the update. dst must have length
+// ≥ m.
 func (f *luFactor) saveSpike(dst []float64) { copy(dst[:f.m], f.vbuf[:f.m]) }
 
 // restoreSpike restores a spike saved by saveSpike as the pending
@@ -482,44 +439,24 @@ func (f *luFactor) restoreSpike(src []float64) { copy(f.vbuf[:f.m], src[:f.m]) }
 // overwritten.
 func (f *luFactor) btran(c, out []float64) {
 	f.nBtran++
-	if f.ft {
-		// Permuted Uᵀ solve, forward in sequence order (in place).
-		for t := 0; t < f.m; t++ {
-			j := int(f.order[t])
-			s := c[j]
-			ci, cv := f.us.entries(j)
-			for q, k := range ci {
-				s -= cv[q] * c[k]
-			}
-			c[j] = s / f.udiag[j]
+	// Permuted Uᵀ solve, forward in sequence order (in place).
+	for t := 0; t < f.m; t++ {
+		j := int(f.order[t])
+		s := c[j]
+		ci, cv := f.us.entries(j)
+		for q, k := range ci {
+			s -= cv[q] * c[k]
 		}
-		// Row-eta transposes in reverse creation order: Rᵀ = I − r·e_pᵀ
-		// scatters −r·c[p] into the eliminated columns.
-		for e := len(f.etaPos) - 1; e >= 0; e-- {
-			cp := c[f.etaPos[e]]
-			if cp != 0 {
-				for t := f.etaPtr[e]; t < f.etaPtr[e+1]; t++ {
-					c[f.etaIdx[t]] -= f.etaVal[t] * cp
-				}
-			}
-		}
-	} else {
-		// Eta transposes in reverse creation order: only position p changes.
-		for e := len(f.etaPos) - 1; e >= 0; e-- {
-			p := f.etaPos[e]
-			dot := 0.0
+		c[j] = s / f.udiag[j]
+	}
+	// Row-eta transposes in reverse creation order: Rᵀ = I − r·e_pᵀ
+	// scatters −r·c[p] into the eliminated columns.
+	for e := len(f.etaPos) - 1; e >= 0; e-- {
+		cp := c[f.etaPos[e]]
+		if cp != 0 {
 			for t := f.etaPtr[e]; t < f.etaPtr[e+1]; t++ {
-				dot += f.etaVal[t] * c[f.etaIdx[t]]
+				c[f.etaIdx[t]] -= f.etaVal[t] * cp
 			}
-			c[p] = (c[p] - dot) / f.etaPiv[e]
-		}
-		// Uᵀ solve (forward, in place): t_j = (c_j − Σ_{k<j} U[k,j]·t_k)/U[j,j].
-		for j := 0; j < f.m; j++ {
-			s := c[j]
-			for t := f.uPtr[j]; t < f.uPtr[j+1]; t++ {
-				s -= f.uVal[t] * c[f.uIdx[t]]
-			}
-			c[j] = s / f.udiag[j]
 		}
 	}
 	// Lᵀ solve (backward, in place): s_k = t_k − Σ_{i} L[i,k]·s_{pinv[i]}.
@@ -534,24 +471,6 @@ func (f *luFactor) btran(c, out []float64) {
 	for k := 0; k < f.m; k++ {
 		out[f.perm[k]] = c[k]
 		c[k] = 0
-	}
-}
-
-// appendEta records the pivot at basis position p with spike w (the
-// FTRAN'd entering column) as a product-form eta. Eta-file mode only.
-func (f *luFactor) appendEta(p int, w []float64) {
-	f.etaPos = append(f.etaPos, int32(p))
-	f.etaPiv = append(f.etaPiv, w[p])
-	for i, v := range w {
-		if i != p && v != 0 {
-			f.etaIdx = append(f.etaIdx, int32(i))
-			f.etaVal = append(f.etaVal, v)
-		}
-	}
-	f.etaPtr = append(f.etaPtr, int32(len(f.etaIdx)))
-	f.nUpdate++
-	if fill := len(f.uIdx) + f.m + len(f.etaIdx); fill > f.peakFill {
-		f.peakFill = fill
 	}
 }
 

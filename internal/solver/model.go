@@ -1,6 +1,7 @@
 // Package solver is a pure-Go mixed-integer linear programming stack: a
-// dense two-phase simplex for linear programs and a best-first
-// branch-and-bound for integrality.
+// revised dual simplex (Forrest–Tomlin LU updates, devex pricing) for
+// linear programs, with a dense two-phase tableau as its fallback, and a
+// best-first pseudocost branch-and-bound for integrality.
 //
 // The FlexWAN paper solves its planning and restoration formulations with
 // Gurobi (§7: "Julia ... and the Gurobi solver", with LP relaxation and a
@@ -259,22 +260,15 @@ type Solution struct {
 	// the dual-simplex warm start (including children proven infeasible by
 	// it) rather than a cold two-phase primal solve. 0 for LPs.
 	WarmStartHits int
-	// Branching is the branching rule the search used (MILP only).
-	Branching BranchRule
-	// Pricing is the dual-simplex pricing rule the solve ran under
-	// (PricingDantzig when Options.DenseSimplex forced the dense tableau,
-	// which prices by largest violation only).
-	Pricing PricingRule
 	// BoundFlips counts nonbasic boxed variables the long-step dual ratio
 	// test moved bound-to-bound instead of pivoting on — each one walks
 	// through a degenerate vertex at the cost of one FTRAN instead of a
-	// basis change. 0 under Options.DenseSimplex.
+	// basis change.
 	BoundFlips int
-	// WeightResets counts pricing-weight reference resets: devex resets on
-	// every refactorization, steepest-edge only when numerical trouble
-	// invalidates the reference framework (falling back to Dantzig row
-	// selection until the next solve reinitializes the weights). 0 under
-	// PricingDantzig.
+	// WeightResets counts devex reference-framework resets: one on every
+	// refactorization, one whenever a weight outgrows the devex cap, and
+	// one when the weights go non-finite (row selection then falls back to
+	// largest violation until the next solve reinitializes them).
 	WeightResets int
 	// PresolveRows and PresolveCols count the constraint rows and variable
 	// columns the presolve layer eliminated before the search. Both are 0
@@ -283,13 +277,11 @@ type Solution struct {
 	// (postsolve rehydrates eliminated columns).
 	PresolveRows int
 	PresolveCols int
-	// LU/basis health, summed over the root solve and every worker engine
-	// (all zero under Options.DenseSimplex, which keeps no factorization):
+	// LU/basis health, summed over the root solve and every worker engine:
 	// Refactorizations counts full basis factorizations, BasisUpdates the
-	// in-place pivot updates (Forrest–Tomlin, or eta appends under
-	// Options.EtaFileUpdates), FTRANCount/BTRANCount the triangular solves
-	// against the factorization, and PeakUFill the largest U-plus-eta
-	// nonzero count any worker's factor reached.
+	// in-place Forrest–Tomlin pivot updates, FTRANCount/BTRANCount the
+	// triangular solves against the factorization, and PeakUFill the
+	// largest U-plus-row-eta nonzero count any worker's factor reached.
 	Refactorizations int
 	BasisUpdates     int
 	FTRANCount       int
@@ -300,8 +292,8 @@ type Solution struct {
 	// handed to the dense two-phase engine mid-search.
 	DenseFallbacks int
 	// NodePresolveFixings counts the bound tightenings node presolve
-	// propagated from branching decisions before node LP solves (0 when
-	// Options.NoNodePresolve is set or for pure LPs).
+	// propagated from branching decisions before node LP solves (0 for
+	// pure LPs).
 	NodePresolveFixings int
 }
 
@@ -317,48 +309,6 @@ func (s Solution) Value(v VarID) float64 {
 func (s Solution) IntValue(v VarID) int {
 	return int(math.Round(s.Value(v)))
 }
-
-// BranchRule selects how branch-and-bound picks the variable to branch
-// on at a fractional node.
-type BranchRule string
-
-const (
-	// BranchMostFractional branches on the integer variable whose
-	// relaxation value is farthest from an integer — the classic textbook
-	// rule, cheap but blind to objective impact.
-	BranchMostFractional BranchRule = "most-fractional"
-	// BranchPseudocost branches on the variable with the best pseudocost
-	// score: the product of the per-unit objective degradations observed
-	// on past down/up branches of that variable, weighted by the current
-	// fractionality. Unreliable estimates (fewer than one observation per
-	// side) borrow the tree-wide average. Usually explores far fewer
-	// nodes than most-fractional on hard instances.
-	BranchPseudocost BranchRule = "pseudocost"
-)
-
-// PricingRule selects how the revised dual simplex picks the leaving row
-// at each pivot. The rule never changes what a solve proves — status and
-// objective at proven optimality are identical across rules — only how
-// many pivots it takes to get there.
-type PricingRule string
-
-const (
-	// PricingDantzig picks the row with the largest bound violation — the
-	// textbook rule the engine used before weighted pricing existed. Cheap
-	// per pivot but blind to the geometry, so degenerate instances can
-	// oscillate through long sequences of near-zero steps.
-	PricingDantzig PricingRule = "dantzig"
-	// PricingDevex scores each row's violation against an approximate
-	// reference weight maintained by the devex recurrence, resetting the
-	// reference framework on every refactorization. Nearly steepest-edge
-	// quality at no extra FTRAN/BTRAN work per pivot. The default.
-	PricingDevex PricingRule = "devex"
-	// PricingSteepestEdge maintains exact dual steepest-edge weights
-	// ‖B⁻ᵀe_i‖² via the Forrest–Goldfarb update, at the cost of one extra
-	// FTRAN per pivot. Fewest pivots per solve; worth it on instances
-	// where degeneracy, not factorization cost, is the bottleneck.
-	PricingSteepestEdge PricingRule = "steepest-edge"
-)
 
 // Options tune the MILP search.
 type Options struct {
@@ -380,42 +330,10 @@ type Options struct {
 	// the best incumbent so far, and a pure-LP solve returns IterLimit
 	// (the point is phase-feasible but carries no certificate).
 	Context context.Context
-	// Branching selects the branch-variable rule (default
-	// BranchPseudocost). Objective and Status at proven optimality are
-	// identical for every rule; node counts differ, and with Workers > 1
-	// pseudocost scores depend on the order workers report results, so
-	// the explored node count may vary run to run.
-	Branching BranchRule
-	// Pricing selects the dual-simplex pricing rule (default PricingDevex).
-	// Objective and Status at proven optimality are identical for every
-	// rule; pivot counts differ. Ignored under DenseSimplex, which always
-	// prices by largest violation (Dantzig).
-	Pricing PricingRule
-	// NoWarmStart disables dual-simplex warm starts: every node
-	// relaxation is solved cold with the two-phase primal simplex, as
-	// before warm starts existed. For ablation and debugging.
-	NoWarmStart bool
 	// NoPresolve disables the presolve/postsolve layer: the search runs on
-	// the model exactly as built, as before presolve existed. For ablation
-	// and debugging; mirrors NoWarmStart.
+	// the model exactly as built. It is the reference the presolve
+	// identity checks compare against.
 	NoPresolve bool
-	// DenseSimplex switches every LP solve back to the dense-tableau
-	// two-phase simplex the solver used before the revised engine existed.
-	// Memory is O(rows·cols) instead of nonzero-proportional, so it only
-	// scales to a few thousand columns; kept as an escape hatch and for
-	// differential testing against the revised path.
-	DenseSimplex bool
-	// EtaFileUpdates switches the revised engine's basis maintenance back
-	// to the product-form eta file (one eta per pivot, refactorization
-	// every 64 etas) instead of the default Forrest–Tomlin updates. For
-	// ablation and differential testing; ignored under DenseSimplex.
-	EtaFileUpdates bool
-	// NoNodePresolve disables per-node presolve: the bound-propagation pass
-	// that pushes each node's branching decisions through the constraint
-	// activity bounds before its LP solve, fixing or tightening additional
-	// integer variables and pruning propagation-infeasible nodes without a
-	// solve. For ablation and debugging; mirrors NoWarmStart/NoPresolve.
-	NoNodePresolve bool
 	// MaxLPIter caps simplex pivots per LP solve call, cumulative across
 	// everything the call runs: both dense two-phase passes, warm-start
 	// basis re-installation, and a revised→dense fallback (the dense
@@ -430,51 +348,37 @@ type Options struct {
 	MaxVars int
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...interface{})
+
+	// Ablation and differential-test switches, set only by in-package
+	// tests: noWarmStart solves every node relaxation cold,
+	// noNodePresolve skips per-node bound propagation, and denseOracle
+	// runs every LP on the dense two-phase tableau instead of the revised
+	// simplex.
+	noWarmStart    bool
+	noNodePresolve bool
+	denseOracle    bool
 }
 
-// Default MaxVars guards per engine: the revised simplex stores the
-// constraint matrix sparsely and its basis factored, so it scales to far
-// more columns than the dense tableau, whose memory is quadratic in the
-// standard-form size.
-const (
-	DefaultMaxVars      = 250000
-	DefaultDenseMaxVars = 8000
-)
+// DefaultMaxVars is the MaxVars guard when none is set: the revised
+// simplex stores the constraint matrix sparsely and its basis factored,
+// so memory grows with nonzeros, not with rows·columns.
+const DefaultMaxVars = 250000
 
 // MaxBuildVars returns the effective variable cap for these options:
-// MaxVars when set, otherwise the default for the selected LP engine.
+// MaxVars when set, otherwise DefaultMaxVars.
 func (o Options) MaxBuildVars() int {
 	if o.MaxVars > 0 {
 		return o.MaxVars
 	}
-	if o.DenseSimplex {
-		return DefaultDenseMaxVars
-	}
 	return DefaultMaxVars
 }
 
-func (o Options) withDefaults() (Options, error) {
+func (o Options) withDefaults() Options {
 	if o.MaxNodes == 0 {
 		o.MaxNodes = 200000
 	}
 	if o.RelGap == 0 {
 		o.RelGap = 1e-6
 	}
-	switch o.Branching {
-	case "":
-		o.Branching = BranchPseudocost
-	case BranchPseudocost, BranchMostFractional:
-	default:
-		return o, fmt.Errorf("solver: unknown branching rule %q (want %q or %q)",
-			o.Branching, BranchPseudocost, BranchMostFractional)
-	}
-	switch o.Pricing {
-	case "":
-		o.Pricing = PricingDevex
-	case PricingDantzig, PricingDevex, PricingSteepestEdge:
-	default:
-		return o, fmt.Errorf("solver: unknown pricing rule %q (want %q, %q, or %q)",
-			o.Pricing, PricingDantzig, PricingDevex, PricingSteepestEdge)
-	}
-	return o, nil
+	return o
 }

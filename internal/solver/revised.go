@@ -29,11 +29,11 @@ const (
 // produce.
 const rxPivotSafety = 1e-7
 
-// Pricing-weight guards: rxWeightFloor keeps the weighted leaving-row
-// score finite when an updated weight has drifted toward zero, and
-// rxDevexCap bounds devex reference-weight growth — a weight past the cap
-// means the reference framework is long gone and the recurrence is only
-// amplifying noise, so the framework resets.
+// Devex weight guards: rxWeightFloor keeps the weighted leaving-row score
+// finite when a weight has drifted toward zero, and rxDevexCap bounds
+// reference-weight growth — a weight past the cap means the reference
+// framework is long gone and the recurrence is only amplifying noise, so
+// the framework resets.
 const (
 	rxWeightFloor = 1e-10
 	rxDevexCap    = 1e7
@@ -112,13 +112,11 @@ type rxScratch struct {
 	y      []float64 // BTRAN(c_B), original-row space
 	posBuf []float64 // BTRAN input scratch, position space (zero between uses)
 
-	pricing   PricingRule // normalized leaving-row rule (never "")
-	weightsOK bool        // rowW valid; false falls row selection back to Dantzig
-	rowW      []float64   // per-row pricing weight (DSE: ‖B⁻ᵀe_i‖²; devex: reference weight)
-	tau       []float64   // DSE: τ = B⁻¹ρ_p, the extra FTRAN per pivot
-	flipJ     []int32     // columns the current ratio test bound-flips
-	flipW     []float64   // FTRAN output for the aggregated flip column
-	spikeSave []float64   // FT spike saved across the flip FTRAN
+	weightsOK bool      // rowW valid; false falls row selection back to largest violation
+	rowW      []float64 // per-row devex reference weight
+	flipJ     []int32   // columns the current ratio test bound-flips
+	flipW     []float64 // FTRAN output for the aggregated flip column
+	spikeSave []float64 // FT spike saved across the flip FTRAN
 
 	values []float64 // model-variable extraction buffer (aliased by Solutions)
 
@@ -156,11 +154,8 @@ func (c *rxCands) Swap(a, b int) {
 	c.ratio[a], c.ratio[b] = c.ratio[b], c.ratio[a]
 }
 
-// newRxScratch builds a revised-simplex scratch for m. etaFile selects the
-// legacy product-form eta file for basis maintenance instead of the default
-// Forrest–Tomlin updates (Options.EtaFileUpdates; kept for ablation and
-// differential testing).
-func newRxScratch(m *Model, etaFile bool) *rxScratch {
+// newRxScratch builds a revised-simplex scratch for m.
+func newRxScratch(m *Model) *rxScratch {
 	csc := m.cscMatrixOf()
 	rx := &rxScratch{
 		m:     m,
@@ -170,7 +165,6 @@ func newRxScratch(m *Model, etaFile bool) *rxScratch {
 		nTot:  csc.cols + csc.rows,
 		sign:  1,
 	}
-	rx.lu.ft = !etaFile
 	if m.sense == Maximize {
 		rx.sign = -1
 	}
@@ -193,9 +187,7 @@ func newRxScratch(m *Model, etaFile bool) *rxScratch {
 	rx.y = make([]float64, rx.nRows)
 	rx.posBuf = make([]float64, rx.nRows)
 	rx.values = make([]float64, rx.nCols)
-	rx.pricing = PricingDevex
 	rx.rowW = make([]float64, rx.nRows)
-	rx.tau = make([]float64, rx.nRows)
 	rx.flipJ = make([]int32, 0, 16)
 	rx.flipW = make([]float64, rx.nRows)
 	rx.spikeSave = make([]float64, rx.nRows)
@@ -216,20 +208,8 @@ func newRxScratch(m *Model, etaFile bool) *rxScratch {
 	return rx
 }
 
-// setPricing installs the leaving-row rule, normalizing the zero value to
-// the devex default so direct SolveLP callers get the same engine the
-// validated MILP path does.
-func (rx *rxScratch) setPricing(p PricingRule) {
-	if p == "" {
-		p = PricingDevex
-	}
-	rx.pricing = p
-}
-
-// resetWeights reinstalls the unit reference framework. For the all-slack
-// basis this is exact for steepest-edge too: B = I, so every row of B⁻ᵀ is
-// a unit vector and ‖B⁻ᵀe_i‖² = 1. For any other basis it is the standard
-// approximate restart — pricing quality degrades for a few pivots, never
+// resetWeights reinstalls the unit devex reference framework — the
+// standard restart: pricing quality degrades for a few pivots, never
 // correctness. counted selects whether the reset shows up in the
 // WeightResets counter (mid-solve resets do; per-solve initialization does
 // not).
@@ -285,7 +265,7 @@ func (rx *rxScratch) scatterCol(j int, x []float64) {
 
 // computeXB recomputes the basic values xB = B⁻¹(b − N·x_N) from scratch.
 // Called after every (re)factorization so accumulated update error in xB
-// is flushed along with the eta file.
+// is flushed along with the row etas.
 func (rx *rxScratch) computeXB() {
 	x := rx.colBuf
 	copy(x, rx.csc.rhs)
@@ -345,13 +325,13 @@ func (rx *rxScratch) priceCol(j int) (alpha, d float64) {
 // against maxIter, so a cold solve retrying with an enlarged artificial
 // box cannot spend the cap twice.
 //
-// Row selection is weighted by the pricing rule — violation²/weight under
-// devex or steepest-edge, largest violation under Dantzig or when the
-// weights have gone stale — and switches to first-violated-index after a
-// Bland-style threshold. The entering column comes from a long-step ratio
-// test: admissible columns are walked in (ratio, index) order, and a boxed
-// candidate whose ratio is passed while the remaining violation still
-// exceeds feasTol is flipped to its opposite bound instead of pivoted on.
+// Row selection is devex-weighted — violation²/weight, or largest
+// violation (Dantzig) while the weights are stale — and switches to
+// first-violated-index after a Bland-style threshold. The entering column
+// comes from a long-step ratio test: admissible columns are walked in
+// (ratio, index) order, and a boxed candidate whose ratio is passed while
+// the remaining violation still exceeds feasTol is flipped to its opposite
+// bound instead of pivoted on.
 // The walk stops at the first candidate it cannot flip past, and the
 // entering column is the max-|α| member of that candidate's feasTol ratio
 // tie group — the same discriminator as before the long step existed —
@@ -368,14 +348,14 @@ func (rx *rxScratch) dualIterate() rxResult {
 			return rxIterLimit
 		}
 		// Leaving row; sigma is the violation direction (+1 above ub, −1
-		// below lb). Weighted rules score violation²/weight — steepest
-		// edge's ‖B⁻ᵀe_i‖² normalizes the violation by the length of the
-		// dual ray the pivot would move along, devex approximates the same
-		// quantity — which is what breaks the degeneracy oscillation:
-		// Dantzig keeps re-picking rows whose large violation moves along a
-		// near-parallel ray, weighted pricing discounts exactly those.
+		// below lb). Devex scores violation²/weight, the weight
+		// approximating the squared length ‖B⁻ᵀe_i‖² of the dual ray the
+		// pivot would move along — which is what breaks the degeneracy
+		// oscillation: largest-violation selection keeps re-picking rows
+		// whose large violation moves along a near-parallel ray, weighted
+		// pricing discounts exactly those.
 		p, sigma, worst := -1, 1.0, feasTol
-		if rx.pricing != PricingDantzig && rx.weightsOK && iter < blandAfter {
+		if rx.weightsOK && iter < blandAfter {
 			best := 0.0
 			for r := 0; r < rx.nRows; r++ {
 				bc := rx.basis[r]
@@ -426,21 +406,6 @@ func (rx *rxScratch) dualIterate() rxResult {
 			rx.posBuf[r] = rx.cost[rx.basis[r]]
 		}
 		rx.lu.btran(rx.posBuf, rx.y)
-
-		// Steepest edge needs β_p = ρ·ρ — the exact current weight of row
-		// p, which anchors the Forrest–Goldfarb update against stored-weight
-		// drift — and τ = B⁻¹ρ, the one extra FTRAN each pivot costs. τ must
-		// run now, BEFORE the entering-column FTRANs, so the Forrest–Tomlin
-		// spike capture those leave behind is the one ftUpdate consumes.
-		betaP := 0.0
-		dse := rx.pricing == PricingSteepestEdge && rx.weightsOK
-		if dse {
-			for i := 0; i < rx.nRows; i++ {
-				betaP += rx.rho[i] * rx.rho[i]
-			}
-			copy(rx.colBuf, rx.rho)
-			rx.lu.ftran(rx.colBuf, rx.tau)
-		}
 
 		// Dual ratio test: among nonbasic columns whose movement pushes
 		// xB[p] toward its violated bound, the entering column must be one
@@ -609,13 +574,9 @@ func (rx *rxScratch) dualIterate() rxResult {
 					}
 				}
 			}
-			if rx.lu.ft {
-				rx.lu.saveSpike(rx.spikeSave)
-			}
+			rx.lu.saveSpike(rx.spikeSave)
 			rx.lu.ftran(rx.colBuf, rx.flipW)
-			if rx.lu.ft {
-				rx.lu.restoreSpike(rx.spikeSave)
-			}
+			rx.lu.restoreSpike(rx.spikeSave)
 			for i := 0; i < rx.nRows; i++ {
 				rx.xB[i] -= rx.flipW[i]
 			}
@@ -645,19 +606,10 @@ func (rx *rxScratch) dualIterate() rxResult {
 		rx.basis[p] = int32(enter)
 		rx.lastPivots++
 
-		// Factor update. Forrest–Tomlin mode updates U in place unless the
-		// spike pivot is tiny, fill has outgrown the factorization, or the
-		// update itself detects numerical drift — all of which refactorize
-		// instead. Eta-file mode appends a product-form eta with the fixed
-		// luMaxEtas refactorization cap.
-		var updated bool
-		if rx.lu.ft {
-			updated = math.Abs(alphaP) >= luEtaTol && !rx.lu.needRefactor() && rx.lu.ftUpdate(p, alphaP)
-		} else if rx.lu.nEtas() < luMaxEtas && math.Abs(alphaP) >= luEtaTol {
-			rx.lu.appendEta(p, rx.w)
-			updated = true
-		}
-		if !updated {
+		// Factor update: Forrest–Tomlin updates U in place unless the spike
+		// pivot is tiny, fill has outgrown the factorization, or the update
+		// itself detects numerical drift — all of which refactorize instead.
+		if math.Abs(alphaP) < luEtaTol || rx.lu.needRefactor() || !rx.lu.ftUpdate(p, alphaP) {
 			if !rx.refactor() {
 				// The factorization had drifted far enough that the pivot we
 				// just made was priced from bad numbers and produced a
@@ -686,9 +638,8 @@ func (rx *rxScratch) dualIterate() rxResult {
 			}
 			// A successful refactorization invalidates the devex reference
 			// framework (devex weights are relative to the framework
-			// installed at the last reset); steepest-edge weights are basis
-			// properties and survive.
-			if rx.pricing == PricingDevex && rx.weightsOK {
+			// installed at the last reset).
+			if rx.weightsOK {
 				rx.resetWeights(true)
 				rx.nBoundFlips += len(rx.flipJ)
 				continue
@@ -696,48 +647,7 @@ func (rx *rxScratch) dualIterate() rxResult {
 		}
 		rx.nBoundFlips += len(rx.flipJ)
 
-		// Pricing-weight maintenance, all in terms of pre-pivot quantities:
-		// spike α = B⁻¹a_enter (rx.w), τ = B⁻¹ρ_p, and β_p = ρ·ρ — row p's
-		// exact pre-pivot weight, used instead of the stored rowW[p] so one
-		// drifted stored weight cannot poison the whole framework.
-		if dse {
-			// Forrest–Goldfarb: w_i' = w_i − 2(α_i/α_p)τ_i + (α_i/α_p)²β_p
-			// for rows the spike touches, and w_p' = β_p/α_p² for the row
-			// the entering column now owns (ρ' of row p is ρ/α_p).
-			ok := true
-			for i := 0; i < rx.nRows; i++ {
-				if i == p {
-					continue
-				}
-				if ai := rx.w[i]; ai != 0 {
-					r := ai / alphaP
-					nw := rx.rowW[i] - 2*r*rx.tau[i] + r*r*betaP
-					if math.IsNaN(nw) || math.IsInf(nw, 0) {
-						ok = false
-						break
-					}
-					if nw < rxWeightFloor {
-						nw = rxWeightFloor
-					}
-					rx.rowW[i] = nw
-				}
-			}
-			wp := betaP / (alphaP * alphaP)
-			if math.IsNaN(wp) || math.IsInf(wp, 0) {
-				ok = false
-			}
-			if !ok {
-				// Stale weights: fall back to Dantzig row selection until
-				// the next solve reinitializes the framework.
-				rx.weightsOK = false
-				rx.nWeightResets++
-			} else {
-				if wp < rxWeightFloor {
-					wp = rxWeightFloor
-				}
-				rx.rowW[p] = wp
-			}
-		} else if rx.pricing == PricingDevex && rx.weightsOK {
+		if rx.weightsOK {
 			// Devex recurrence against the pre-update reference weight γ_p:
 			// γ_i' = max(γ_i, (α_i/α_p)²γ_p), γ_p' = max(γ_p/α_p², 1).
 			gp := rx.rowW[p]
@@ -895,8 +805,6 @@ func (rx *rxScratch) solveCold() (Solution, bool) {
 		if !rx.refactor() {
 			return Solution{}, false
 		}
-		// Unit weights are exact for the all-slack basis (B = I), so
-		// steepest edge starts from a true reference framework here.
 		rx.resetWeights(false)
 		switch rx.dualIterate() {
 		case rxOptimal:

@@ -8,8 +8,8 @@ import (
 )
 
 // TestDenseVsRevisedMILPProperty is the engine differential property: the
-// dense tableau and the revised simplex must agree on status and (when
-// optimal) objective for random MILPs, and both incumbents must be
+// dense tableau oracle and the revised simplex must agree on status and
+// (when optimal) objective for random MILPs, and both incumbents must be
 // feasible in the original model. Swept across presolve on/off and worker
 // counts so the warm-start and dive paths of both engines are exercised.
 // Feasibility of both incumbents is checked against the original model
@@ -26,9 +26,9 @@ func TestDenseVsRevisedMILPProperty(t *testing.T) {
 			for _, workers := range []int{1, 3} {
 				base := Options{Workers: workers, NoPresolve: noPresolve}
 				dOpts, rOpts := base, base
-				dOpts.DenseSimplex = true
-				dense := mustSolveOpts(t, m, dOpts)
-				revised := mustSolveOpts(t, m, rOpts)
+				dOpts.denseOracle = true
+				dense := m.SolveWithOptions(dOpts)
+				revised := m.SolveWithOptions(rOpts)
 				label := fmt.Sprintf("trial %d presolve=%v workers=%d", trial, !noPresolve, workers)
 				if dense.Status != revised.Status {
 					t.Fatalf("%s: dense status %v, revised status %v", label, dense.Status, revised.Status)
@@ -49,8 +49,8 @@ func TestDenseVsRevisedMILPProperty(t *testing.T) {
 }
 
 // TestDenseVsRevisedLPProperty runs the same differential on pure LP
-// relaxations (SolveLP path, no branching): status, objective, and
-// feasibility of the returned point.
+// relaxations (no branching): status, objective, and feasibility of the
+// returned point.
 func TestDenseVsRevisedLPProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	trials := 150
@@ -59,7 +59,7 @@ func TestDenseVsRevisedLPProperty(t *testing.T) {
 	}
 	for trial := 0; trial < trials; trial++ {
 		m := randomMILP(rng, true)
-		dense := m.solveRelaxation(Options{DenseSimplex: true})
+		dense := m.solveRelaxation(Options{denseOracle: true})
 		revised := m.solveRelaxation(Options{})
 		label := fmt.Sprintf("trial %d", trial)
 		if dense.Status != revised.Status {
@@ -133,30 +133,24 @@ func TestRevisedFreeVariables(t *testing.T) {
 // IterLimit instead of silently reporting Optimal — the bug this PR fixes.
 func TestMaxLPIterSurfacesIterLimit(t *testing.T) {
 	m := branchyMIP()
-	sol, err := m.SolveWithOptions(Options{MaxLPIter: 1, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sol := m.SolveWithOptions(Options{MaxLPIter: 1, Workers: 1})
 	if sol.Status != IterLimit {
 		t.Fatalf("status = %v, want %v", sol.Status, IterLimit)
 	}
-	// Both engines must agree on the surfaced status.
-	sol, err = m.SolveWithOptions(Options{MaxLPIter: 1, Workers: 1, DenseSimplex: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The dense oracle must agree on the surfaced status.
+	sol = m.SolveWithOptions(Options{MaxLPIter: 1, Workers: 1, denseOracle: true})
 	if sol.Status != IterLimit {
 		t.Fatalf("dense status = %v, want %v", sol.Status, IterLimit)
 	}
 }
 
-// TestRevisedRefactorization forces enough pivots on a single LP to cross
-// the eta-file refactorization threshold (luMaxEtas) so the periodic
-// refactor path runs, and checks the optimum against the dense engine.
+// TestRevisedRefactorization forces a long run of pivots on a single LP,
+// so Forrest–Tomlin updates accumulate across many basis changes, and
+// checks the optimum against the dense engine.
 func TestRevisedRefactorization(t *testing.T) {
-	// A staircase LP with ~3·luMaxEtas rows: each dual pivot adds an eta,
-	// so the solve must refactor at least twice.
-	n := 3 * luMaxEtas
+	// A staircase LP: every row starts violated, so the dual simplex
+	// pivots at least once per row.
+	const n = 192
 	m := NewModel("staircase", Minimize)
 	vars := make([]VarID, n)
 	for i := 0; i < n; i++ {
@@ -172,14 +166,15 @@ func TestRevisedRefactorization(t *testing.T) {
 		}
 	}
 	revised := m.solveRelaxation(Options{})
-	dense := m.solveRelaxation(Options{DenseSimplex: true})
+	dense := m.solveRelaxation(Options{denseOracle: true})
 	if revised.Status != Optimal || dense.Status != Optimal {
 		t.Fatalf("status: revised %v, dense %v", revised.Status, dense.Status)
 	}
 	if math.Abs(revised.Objective-dense.Objective) > 1e-6*math.Max(1, math.Abs(dense.Objective)) {
 		t.Fatalf("objective: revised %v, dense %v", revised.Objective, dense.Objective)
 	}
-	if revised.SimplexIters < luMaxEtas {
-		t.Fatalf("SimplexIters = %d, want >= %d (refactor path not exercised)", revised.SimplexIters, luMaxEtas)
+	if revised.SimplexIters < n/3 || revised.BasisUpdates == 0 {
+		t.Fatalf("SimplexIters = %d, BasisUpdates = %d: want >= %d pivots through in-place updates",
+			revised.SimplexIters, revised.BasisUpdates, n/3)
 	}
 }

@@ -225,7 +225,7 @@ func TestMIPNodeLimit(t *testing.T) {
 		terms = append(terms, Term{v, float64(1 + rng.Intn(10))})
 	}
 	mustCon(t, m, "w", terms, LE, 17)
-	s := mustSolveOpts(t, m, Options{MaxNodes: 1})
+	s := m.SolveWithOptions(Options{MaxNodes: 1})
 	if s.Status != LimitReached {
 		t.Errorf("status = %v, want limit-reached", s.Status)
 	}
@@ -369,7 +369,7 @@ func TestMIPRelGapStop(t *testing.T) {
 	// Workers: 1 — a loose-RelGap stop is an early exit whose trigger
 	// point depends on worker timing; pin one worker so the GapLimit
 	// status is deterministic.
-	s := mustSolveOpts(t, build(), Options{RelGap: 0.6, Workers: 1})
+	s := build().SolveWithOptions(Options{RelGap: 0.6, Workers: 1})
 	if s.Status != GapLimit {
 		t.Fatalf("RelGap-stopped search status = %v, want gap-limit", s.Status)
 	}
@@ -381,7 +381,7 @@ func TestMIPRelGapStop(t *testing.T) {
 	}
 
 	// Default options run the search to an optimality proof.
-	s = mustSolveOpts(t, build(), Options{})
+	s = build().SolveWithOptions(Options{})
 	if s.Status != Optimal {
 		t.Fatalf("full search status = %v, want optimal", s.Status)
 	}
@@ -398,16 +398,6 @@ func mustCon(t *testing.T, m *Model, name string, terms []Term, rel Rel, rhs flo
 	if err := m.AddConstraint(name, terms, rel, rhs); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// mustSolveOpts solves with options, failing the test on an options error.
-func mustSolveOpts(t *testing.T, m *Model, opts Options) Solution {
-	t.Helper()
-	sol, err := m.SolveWithOptions(opts)
-	if err != nil {
-		t.Fatalf("SolveWithOptions: %v", err)
-	}
-	return sol
 }
 
 // TestLPDegenerateCycling: a classic degenerate LP (Beale's example) that

@@ -61,10 +61,10 @@ func randomMILP(rng *rand.Rand, allowCont bool) *Model {
 }
 
 // TestWarmStartMatchesColdProperty is the warm-start correctness property:
-// on randomized small pure-integer programs, every (branching rule ×
-// worker count × warm vs cold) configuration must return the exact same
-// status and the bit-identical objective as the serial, cold,
-// most-fractional reference — incumbent objectives are recomputed from
+// on randomized small pure-integer programs, every (worker count × warm
+// vs cold) configuration must return the exact same status and the
+// bit-identical objective as the serial, cold reference — incumbent
+// objectives are recomputed from
 // integer-snapped values, so with integer data they are exact. Run with
 // -race to also exercise the shared pseudocost bookkeeping.
 func TestWarmStartMatchesColdProperty(t *testing.T) {
@@ -90,28 +90,22 @@ func TestWarmStartMatchesColdMixedProperty(t *testing.T) {
 
 func warmVsColdProperty(t *testing.T, m *Model, trial int, tol float64) {
 	t.Helper()
-	ref := mustSolveOpts(t, m, Options{
-		Workers: 1, NoWarmStart: true, Branching: BranchMostFractional,
-	})
-	for _, rule := range []BranchRule{BranchMostFractional, BranchPseudocost} {
-		for _, workers := range []int{1, 3} {
-			for _, noWarm := range []bool{false, true} {
-				got := mustSolveOpts(t, m, Options{
-					Workers: workers, NoWarmStart: noWarm, Branching: rule,
-				})
-				if got.Status != ref.Status {
-					t.Fatalf("trial %d rule=%s workers=%d noWarm=%v: status %v, reference %v",
-						trial, rule, workers, noWarm, got.Status, ref.Status)
-				}
-				if ref.Status != Optimal {
-					continue
-				}
-				diff := math.Abs(got.Objective - ref.Objective)
-				limit := tol * math.Max(1, math.Abs(ref.Objective))
-				if diff > limit {
-					t.Fatalf("trial %d rule=%s workers=%d noWarm=%v: objective %v != reference %v (diff %g)",
-						trial, rule, workers, noWarm, got.Objective, ref.Objective, got.Objective-ref.Objective)
-				}
+	ref := m.SolveWithOptions(Options{Workers: 1, noWarmStart: true})
+	for _, workers := range []int{1, 3} {
+		for _, noWarm := range []bool{false, true} {
+			got := m.SolveWithOptions(Options{Workers: workers, noWarmStart: noWarm})
+			if got.Status != ref.Status {
+				t.Fatalf("trial %d workers=%d noWarm=%v: status %v, reference %v",
+					trial, workers, noWarm, got.Status, ref.Status)
+			}
+			if ref.Status != Optimal {
+				continue
+			}
+			diff := math.Abs(got.Objective - ref.Objective)
+			limit := tol * math.Max(1, math.Abs(ref.Objective))
+			if diff > limit {
+				t.Fatalf("trial %d workers=%d noWarm=%v: objective %v != reference %v (diff %g)",
+					trial, workers, noWarm, got.Objective, ref.Objective, got.Objective-ref.Objective)
 			}
 		}
 	}
@@ -136,7 +130,7 @@ func branchyMIP() *Model {
 
 func TestWarmStartStatsRecorded(t *testing.T) {
 	m := branchyMIP()
-	sol := mustSolveOpts(t, m, Options{Workers: 1})
+	sol := m.SolveWithOptions(Options{Workers: 1})
 	if sol.Status != Optimal {
 		t.Fatalf("status = %v", sol.Status)
 	}
@@ -153,31 +147,13 @@ func TestWarmStartStatsRecorded(t *testing.T) {
 		t.Errorf("WarmStartHits = %d not below Nodes = %d (root is always cold)",
 			sol.WarmStartHits, sol.Nodes)
 	}
-	if sol.Branching != BranchPseudocost {
-		t.Errorf("default Branching = %q, want %q", sol.Branching, BranchPseudocost)
-	}
 
-	cold := mustSolveOpts(t, m, Options{Workers: 1, NoWarmStart: true})
+	cold := m.SolveWithOptions(Options{Workers: 1, noWarmStart: true})
 	if cold.WarmStartHits != 0 {
-		t.Errorf("NoWarmStart WarmStartHits = %d, want 0", cold.WarmStartHits)
+		t.Errorf("cold-only WarmStartHits = %d, want 0", cold.WarmStartHits)
 	}
 	if cold.Objective != sol.Objective {
-		t.Errorf("NoWarmStart objective %v != warm objective %v", cold.Objective, sol.Objective)
-	}
-}
-
-func TestBranchingRulesAgreeOnObjective(t *testing.T) {
-	m := branchyMIP()
-	mf := mustSolveOpts(t, m, Options{Workers: 1, Branching: BranchMostFractional})
-	pc := mustSolveOpts(t, m, Options{Workers: 1, Branching: BranchPseudocost})
-	if mf.Status != Optimal || pc.Status != Optimal {
-		t.Fatalf("statuses: mf=%v pc=%v", mf.Status, pc.Status)
-	}
-	if mf.Objective != pc.Objective {
-		t.Fatalf("rules disagree: most-fractional %v, pseudocost %v", mf.Objective, pc.Objective)
-	}
-	if mf.Branching != BranchMostFractional || pc.Branching != BranchPseudocost {
-		t.Errorf("Branching echo wrong: mf=%q pc=%q", mf.Branching, pc.Branching)
+		t.Errorf("cold-only objective %v != warm objective %v", cold.Objective, sol.Objective)
 	}
 }
 

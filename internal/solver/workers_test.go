@@ -37,7 +37,7 @@ func hardKnapsack(t *testing.T) *Model {
 // for Workers ∈ {1, 2, 8} when the search runs to proven optimality. Run
 // under -race in CI, this also exercises the shared-frontier locking.
 func TestWorkersDeterministicObjective(t *testing.T) {
-	ref := mustSolveOpts(t, hardKnapsack(t), Options{Workers: 1})
+	ref := hardKnapsack(t).SolveWithOptions(Options{Workers: 1})
 	if ref.Status != Optimal {
 		t.Fatalf("reference solve status = %v, want optimal", ref.Status)
 	}
@@ -48,7 +48,7 @@ func TestWorkersDeterministicObjective(t *testing.T) {
 		t.Fatalf("reference solve explored %d nodes; instance too easy to exercise concurrency", ref.Nodes)
 	}
 	for _, w := range []int{2, 8} {
-		s := mustSolveOpts(t, hardKnapsack(t), Options{Workers: w})
+		s := hardKnapsack(t).SolveWithOptions(Options{Workers: w})
 		if s.Status != ref.Status {
 			t.Errorf("Workers=%d status = %v, want %v", w, s.Status, ref.Status)
 		}
@@ -97,7 +97,7 @@ func TestWorkersCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, w := range []int{1, 4} {
-		s := mustSolveOpts(t, hardKnapsack(t), Options{Workers: w, Context: ctx})
+		s := hardKnapsack(t).SolveWithOptions(Options{Workers: w, Context: ctx})
 		if s.Status != LimitReached {
 			t.Errorf("Workers=%d cancelled status = %v, want limit-reached", w, s.Status)
 		}
@@ -112,7 +112,7 @@ func TestWorkersCancellation(t *testing.T) {
 // budget by more than the number of in-flight workers.
 func TestWorkersNodeLimit(t *testing.T) {
 	for _, w := range []int{1, 4} {
-		s := mustSolveOpts(t, hardKnapsack(t), Options{Workers: w, MaxNodes: 5})
+		s := hardKnapsack(t).SolveWithOptions(Options{Workers: w, MaxNodes: 5})
 		if s.Status != LimitReached {
 			t.Errorf("Workers=%d status = %v, want limit-reached", w, s.Status)
 		}
@@ -130,7 +130,7 @@ func TestWorkersNodeLimit(t *testing.T) {
 // TestWorkersDefault: Workers ≤ 0 resolves to GOMAXPROCS and is reported
 // on the solution.
 func TestWorkersDefault(t *testing.T) {
-	s := mustSolveOpts(t, hardKnapsack(t), Options{})
+	s := hardKnapsack(t).SolveWithOptions(Options{})
 	if s.Workers < 1 {
 		t.Errorf("default Solution.Workers = %d, want ≥ 1", s.Workers)
 	}
