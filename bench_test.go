@@ -395,13 +395,65 @@ func BenchmarkHeuristicVsExact(b *testing.B) {
 
 // --- Core-primitive micro-benchmarks ---
 
+// BenchmarkKShortestPaths runs Yen's K=4 between the T-backbone's first
+// and last sites, on the intact graph and with the first fiber of the
+// intact shortest path cut (the restoration-time query).
 func BenchmarkKShortestPaths(b *testing.B) {
 	nodes := tb.Optical.Nodes()
+	src, dst := nodes[0], nodes[len(nodes)-1]
+	sp, ok := tb.Optical.ShortestPath(src, dst)
+	if !ok {
+		b.Fatal("no path")
+	}
+	for _, c := range []struct {
+		name string
+		cut  []string
+	}{{"intact", nil}, {"cut=1", sp.Fibers[:1]}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				paths := tb.Optical.KShortestPaths(src, dst, 4, c.cut...)
+				if len(paths) == 0 {
+					b.Fatal("no paths")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkRestoreSolve is one restoration solve on CERNET (seed 1) with
+// the fiber that carries the most planned wavelengths cut.
+func BenchmarkRestoreSolve(b *testing.B) {
+	n := workload.Cernet(1)
+	p := restore.Problem{
+		Optical: n.Optical, IP: n.IP,
+		Catalog: transponder.SVT(), Grid: spectrum.DefaultGrid(),
+	}
+	base, err := plan.Solve(plan.Problem{Optical: p.Optical, IP: p.IP, Catalog: p.Catalog, Grid: p.Grid})
+	if err != nil {
+		b.Fatal(err)
+	}
+	p.Base = base
+	load := map[string]int{}
+	busiest := ""
+	for _, w := range base.Wavelengths {
+		for _, f := range w.Path.Fibers {
+			load[f]++
+			if load[f] > load[busiest] || (load[f] == load[busiest] && f < busiest) {
+				busiest = f
+			}
+		}
+	}
+	p.Scenario = restore.Scenario{ID: "cut-" + busiest, CutFibers: []string{busiest}}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		paths := tb.Optical.KShortestPaths(nodes[0], nodes[len(nodes)-1], 4)
-		if len(paths) == 0 {
-			b.Fatal("no paths")
+		res, err := restore.Solve(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.RestoredGbps == 0 {
+			b.Fatalf("cut %s restored nothing", busiest)
 		}
 	}
 }

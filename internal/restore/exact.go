@@ -38,7 +38,6 @@ func SolveExact(p Problem, opts solver.Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	post := p.Optical.Without(p.Scenario.CutFibers...)
 
 	type linkState struct {
 		id           string
@@ -89,7 +88,7 @@ func SolveExact(p Problem, opts solver.Options) (*Result, error) {
 		if !ok {
 			return nil, fmt.Errorf("restore: affected link %s missing from IP topology", id)
 		}
-		paths := post.KShortestPaths(ep[0], ep[1], p.k())
+		paths := p.Optical.KShortestPaths(ep[0], ep[1], p.k(), p.Scenario.CutFibers...)
 		var capTerms, cntTerms []solver.Term
 		for _, path := range paths {
 			fibers := make([]spectrum.FiberID, len(path.Fibers))

@@ -215,7 +215,6 @@ func Solve(p Problem) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	post := p.Optical.Without(p.Scenario.CutFibers...)
 
 	// Group failures per link.
 	type linkState struct {
@@ -258,7 +257,7 @@ func Solve(p Problem) (*Result, error) {
 		if !ok {
 			return nil, fmt.Errorf("restore: affected link %s missing from IP topology", ls.id)
 		}
-		paths := post.KShortestPaths(ep[0], ep[1], p.k())
+		paths := p.Optical.KShortestPaths(ep[0], ep[1], p.k(), p.Scenario.CutFibers...)
 		remaining := ls.affectedGbps
 		restored := 0
 		oi := 0 // next original wavelength to pair with a restored one
@@ -427,9 +426,10 @@ func (s SweepResult) PathStretches() []float64 {
 type SweepOptions struct {
 	// Workers is the number of scenarios solved concurrently: 0 (the
 	// default) uses runtime.GOMAXPROCS, 1 forces the sequential path.
-	// Every worker clones the per-scenario state (allocator, post-cut
-	// topology) and treats the base Problem as read-only, so results are
-	// identical for every worker count.
+	// Every worker clones the per-scenario allocator and treats the base
+	// Problem as read-only (the topology is searched with the cut fibers
+	// banned, never copied), so results are identical for every worker
+	// count.
 	Workers int
 	// Context, when non-nil, cancels the sweep early; undispatched
 	// scenarios are recorded as failed with the context's error.

@@ -797,21 +797,42 @@ func (p *presolved) mergeDuplicates(rows []preRow) {
 		}
 		return cands[a].v < cands[b].v
 	})
-	// Verify buckets exactly: collect each candidate's (row, coef) list
-	// lazily and compare representatives pairwise within the bucket.
-	colOf := func(v int) []Term {
-		var col []Term
-		for r := range rows {
-			if !rows[r].live {
-				continue
-			}
-			for _, t := range rows[r].terms {
-				if int(t.Var) == v {
-					col = append(col, Term{Var: VarID(r), Coef: t.Coef})
-				}
+	// Verify buckets exactly by each member's (row, coef) list. Only
+	// members of buckets with two or more candidates need one; a single
+	// transpose pass over the live rows builds them all, entries in
+	// row-ascending order, into one arena. sigs[v].n is exactly v's live
+	// term count, so each member's slice is sized to fill, and a column
+	// with spare capacity is one still being filled.
+	var members []int
+	need := 0
+	for lo := 0; lo < len(cands); {
+		hi := lo + 1
+		for hi < len(cands) && cands[hi].hash == cands[lo].hash {
+			hi++
+		}
+		if hi-lo >= 2 {
+			for _, c := range cands[lo:hi] {
+				members = append(members, c.v)
+				need += sigs[c.v].n
 			}
 		}
-		return col
+		lo = hi
+	}
+	cols := make([][]Term, nv)
+	arena := make([]Term, need)
+	for _, v := range members {
+		n := sigs[v].n
+		cols[v], arena = arena[:0:n], arena[n:]
+	}
+	for r := range rows {
+		if !rows[r].live {
+			continue
+		}
+		for _, t := range rows[r].terms {
+			if col := cols[t.Var]; len(col) < cap(col) {
+				cols[t.Var] = append(col, Term{Var: VarID(r), Coef: t.Coef})
+			}
+		}
 	}
 	sameCol := func(a, b []Term) bool {
 		if len(a) != len(b) {
@@ -838,11 +859,7 @@ func (p *presolved) mergeDuplicates(rows []preRow) {
 		if len(bucket) < 2 {
 			continue
 		}
-		cols := make([][]Term, len(bucket))
 		used := make([]bool, len(bucket))
-		for i := range bucket {
-			cols[i] = colOf(bucket[i])
-		}
 		for i := 0; i < len(bucket); i++ {
 			if used[i] {
 				continue
@@ -856,7 +873,7 @@ func (p *presolved) mergeDuplicates(rows []preRow) {
 				vj := bucket[j]
 				if p.orig.vars[vi].obj != p.orig.vars[vj].obj ||
 					p.orig.vars[vi].integer != p.orig.vars[vj].integer ||
-					!sameCol(cols[i], cols[j]) {
+					!sameCol(cols[vi], cols[vj]) {
 					continue
 				}
 				if grp == nil {

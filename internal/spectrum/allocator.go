@@ -82,17 +82,15 @@ func (a *Allocator) FiberMap(id FiberID) *Map {
 }
 
 // jointFree returns a synthetic map whose pixel w is free iff w is free on
-// every fiber in the path.
+// every fiber in the path. Each fiber's map is looked up once, then its
+// pixels are folded into the joint map.
 func (a *Allocator) jointFree(path []FiberID) *Map {
 	joint := NewMap(a.grid)
-	for w := 0; w < a.grid.Pixels; w++ {
-		for _, f := range path {
-			if a.fiber(f).Used(w) {
-				// Marking via Place would be O(1) anyway; direct write
-				// keeps accounting consistent through the method.
+	for _, f := range path {
+		for w, used := range a.fiber(f).used {
+			if used && !joint.used[w] {
 				joint.used[w] = true
 				joint.free--
-				break
 			}
 		}
 	}

@@ -7,15 +7,15 @@
 // shortest path (KSP) algorithm to find the K optimal optical paths").
 // This package provides those primitives: an undirected multigraph with
 // fiber lengths, Dijkstra shortest paths, and Yen's loopless K shortest
-// paths, plus failure projection (removing cut fibers) for the
-// restoration algorithm (§8).
+// paths that can treat a set of cut fibers as absent — the post-failure
+// topology the restoration algorithm (§8) searches.
 package topology
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 )
 
 // NodeID names a ROADM site (equivalently a region; the paper maps each
@@ -46,29 +46,50 @@ func (f Fiber) Other(n NodeID) (NodeID, bool) {
 // Optical is the optical-layer topology G_o(V_o, E_o): ROADMs and fibers.
 // It is a multigraph — parallel fibers between the same sites are common
 // in production. The zero value is empty and ready to use via New.
+//
+// Sites and fibers are numbered densely in insertion order as they are
+// added, and the searches run on those indices: adjacency, fiber
+// endpoints and lengths are slices, and only the two ID lookups are maps.
+// An Optical is read-only once built; any number of goroutines may search
+// it concurrently, since every search keeps its scratch to itself.
 type Optical struct {
-	nodes  map[NodeID]struct{}
-	fibers map[string]Fiber
-	adj    map[NodeID][]string // node → incident fiber IDs, insertion order
+	nodeIdx  map[NodeID]int32
+	fiberIdx map[string]int32
+	names    []NodeID   // node index → site
+	adj      [][]int32  // node index → incident fiber indices, insertion order
+	fiberIDs []string   // fiber index → ID
+	ends     [][2]int32 // fiber index → endpoint node indices (A, B)
+	lengths  []float64  // fiber index → length in km
 }
 
 // New returns an empty optical topology.
 func New() *Optical {
 	return &Optical{
-		nodes:  make(map[NodeID]struct{}),
-		fibers: make(map[string]Fiber),
-		adj:    make(map[NodeID][]string),
+		nodeIdx:  make(map[NodeID]int32),
+		fiberIdx: make(map[string]int32),
 	}
 }
 
 // AddNode inserts a ROADM site. Adding an existing node is a no-op.
 func (g *Optical) AddNode(id NodeID) {
-	g.nodes[id] = struct{}{}
+	g.addNode(id)
+}
+
+// addNode returns the index of the site, numbering it on first sight.
+func (g *Optical) addNode(id NodeID) int32 {
+	if i, ok := g.nodeIdx[id]; ok {
+		return i
+	}
+	i := int32(len(g.names))
+	g.nodeIdx[id] = i
+	g.names = append(g.names, id)
+	g.adj = append(g.adj, nil)
+	return i
 }
 
 // HasNode reports whether the site exists.
 func (g *Optical) HasNode(id NodeID) bool {
-	_, ok := g.nodes[id]
+	_, ok := g.nodeIdx[id]
 	return ok
 }
 
@@ -83,80 +104,66 @@ func (g *Optical) AddFiber(id string, a, b NodeID, lengthKm float64) error {
 	if lengthKm <= 0 {
 		return fmt.Errorf("topology: fiber %s has nonpositive length %v", id, lengthKm)
 	}
-	if _, dup := g.fibers[id]; dup {
+	if _, dup := g.fiberIdx[id]; dup {
 		return fmt.Errorf("topology: duplicate fiber ID %s", id)
 	}
-	g.AddNode(a)
-	g.AddNode(b)
-	g.fibers[id] = Fiber{ID: id, A: a, B: b, LengthKm: lengthKm}
-	g.adj[a] = append(g.adj[a], id)
-	g.adj[b] = append(g.adj[b], id)
+	ai, bi := g.addNode(a), g.addNode(b)
+	fi := int32(len(g.fiberIDs))
+	g.fiberIdx[id] = fi
+	g.fiberIDs = append(g.fiberIDs, id)
+	g.ends = append(g.ends, [2]int32{ai, bi})
+	g.lengths = append(g.lengths, lengthKm)
+	g.adj[ai] = append(g.adj[ai], fi)
+	g.adj[bi] = append(g.adj[bi], fi)
 	return nil
+}
+
+// fiber materializes the fiber at index fi.
+func (g *Optical) fiber(fi int32) Fiber {
+	e := g.ends[fi]
+	return Fiber{ID: g.fiberIDs[fi], A: g.names[e[0]], B: g.names[e[1]], LengthKm: g.lengths[fi]}
+}
+
+// other returns the far end of fiber fi from node n.
+func (g *Optical) other(fi, n int32) int32 {
+	e := g.ends[fi]
+	if e[0] == n {
+		return e[1]
+	}
+	return e[0]
 }
 
 // Fiber returns the fiber with the given ID.
 func (g *Optical) Fiber(id string) (Fiber, bool) {
-	f, ok := g.fibers[id]
-	return f, ok
+	fi, ok := g.fiberIdx[id]
+	if !ok {
+		return Fiber{}, false
+	}
+	return g.fiber(fi), true
 }
 
 // Nodes returns all sites in sorted order.
 func (g *Optical) Nodes() []NodeID {
-	out := make([]NodeID, 0, len(g.nodes))
-	for n := range g.nodes {
-		out = append(out, n)
-	}
+	out := append([]NodeID(nil), g.names...)
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
 // Fibers returns all fibers sorted by ID.
 func (g *Optical) Fibers() []Fiber {
-	out := make([]Fiber, 0, len(g.fibers))
-	for _, f := range g.fibers {
-		out = append(out, f)
+	out := make([]Fiber, len(g.fiberIDs))
+	for fi := range out {
+		out[fi] = g.fiber(int32(fi))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
 // NumNodes returns the site count.
-func (g *Optical) NumNodes() int { return len(g.nodes) }
+func (g *Optical) NumNodes() int { return len(g.names) }
 
 // NumFibers returns the fiber count.
-func (g *Optical) NumFibers() int { return len(g.fibers) }
-
-// Without returns a copy of the topology with the given fibers removed —
-// the post-failure topology G'_o of a fiber-cut scenario (§8).
-func (g *Optical) Without(cut ...string) *Optical {
-	cutSet := make(map[string]struct{}, len(cut))
-	for _, id := range cut {
-		cutSet[id] = struct{}{}
-	}
-	out := New()
-	for n := range g.nodes {
-		out.AddNode(n)
-	}
-	// Preserve insertion order of adjacency for determinism.
-	seen := make(map[string]struct{})
-	for _, n := range g.Nodes() {
-		for _, fid := range g.adj[n] {
-			if _, isCut := cutSet[fid]; isCut {
-				continue
-			}
-			if _, dup := seen[fid]; dup {
-				continue
-			}
-			seen[fid] = struct{}{}
-			f := g.fibers[fid]
-			if err := out.AddFiber(f.ID, f.A, f.B, f.LengthKm); err != nil {
-				// Cannot happen: we copy validated fibers exactly once.
-				panic(err)
-			}
-		}
-	}
-	return out
-}
+func (g *Optical) NumFibers() int { return len(g.fiberIDs) }
 
 // Path is a loopless walk through the optical topology: the node sequence
 // and the fiber chosen for each hop. LengthKm is the total fiber length —
@@ -193,204 +200,308 @@ func (p Path) String() string {
 	return fmt.Sprintf("%v (%.0f km)", p.Nodes, p.LengthKm)
 }
 
-// pqItem is a Dijkstra frontier entry.
-type pqItem struct {
-	node NodeID
+// ipath is a path in index form. key is its pathKey, the tie-break and
+// deduplication key of Yen's candidate pool.
+type ipath struct {
+	nodes  []int32
+	fibers []int32
+	length float64
+	key    string
+}
+
+// toPath names the sites and fibers of an index path.
+func (g *Optical) toPath(p ipath) Path {
+	out := Path{
+		Nodes:    make([]NodeID, len(p.nodes)),
+		Fibers:   make([]string, len(p.fibers)),
+		LengthKm: p.length,
+	}
+	for i, n := range p.nodes {
+		out.Nodes[i] = g.names[n]
+	}
+	for i, f := range p.fibers {
+		out.Fibers[i] = g.fiberIDs[f]
+	}
+	return out
+}
+
+// pathKey is the fiber-ID sequence joined and terminated by '|'.
+func (g *Optical) pathKey(fibers []int32) string {
+	var b strings.Builder
+	n := 0
+	for _, f := range fibers {
+		n += len(g.fiberIDs[f]) + 1
+	}
+	b.Grow(n)
+	for _, f := range fibers {
+		b.WriteString(g.fiberIDs[f])
+		b.WriteByte('|')
+	}
+	return b.String()
+}
+
+// search is the scratch of one ShortestPath or KShortestPaths call. It is
+// built per call, never kept on the Optical, so concurrent searches of one
+// graph share nothing mutable. Marks are stamps: a slot counts only while
+// it holds the current run's stamp, so each of Yen's Dijkstra runs starts
+// by taking a new stamp instead of clearing the arrays.
+type search struct {
+	g      *Optical
+	run    uint64 // stamp of the current Dijkstra run; zero marks nothing
+	nodes  []nodeMark
+	fibers []fiberMark
+	heap   []heapItem
+}
+
+type nodeMark struct {
+	dist    float64
+	prev    int32  // fiber the node was reached by
+	reached uint64 // run whose dist and prev are valid
+	done    uint64 // run that settled the node
+	banned  uint64 // run the node is banned from
+}
+
+type fiberMark struct {
+	banned uint64 // run the fiber is banned from
+	cut    bool   // absent for the whole call
+}
+
+type heapItem struct {
+	node int32
 	dist float64
 }
 
-type pq []pqItem
+// newSearch returns scratch for g with the given fibers cut for the whole
+// call. Unknown cut IDs are ignored.
+func (g *Optical) newSearch(cut []string) *search {
+	s := &search{
+		g:      g,
+		nodes:  make([]nodeMark, len(g.names)),
+		fibers: make([]fiberMark, len(g.fiberIDs)),
+		heap:   make([]heapItem, 0, len(g.fiberIDs)+1),
+	}
+	for _, id := range cut {
+		if fi, ok := g.fiberIdx[id]; ok {
+			s.fibers[fi].cut = true
+		}
+	}
+	return s
+}
 
-func (q pq) Len() int            { return len(q) }
-func (q pq) Less(i, j int) bool  { return q[i].dist < q[j].dist }
-func (q pq) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *pq) Push(x interface{}) { *q = append(*q, x.(pqItem)) }
-func (q *pq) Pop() interface{} {
-	old := *q
-	n := len(old)
-	item := old[n-1]
-	*q = old[:n-1]
-	return item
+func (s *search) push(it heapItem) {
+	h := append(s.heap, it)
+	for j := len(h) - 1; j > 0; {
+		i := (j - 1) / 2
+		if h[j].dist >= h[i].dist {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+	s.heap = h
+}
+
+func (s *search) pop() heapItem {
+	h := s.heap
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h[j2].dist < h[j].dist {
+			j = j2
+		}
+		if h[j].dist >= h[i].dist {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	it := h[n]
+	s.heap = h[:n]
+	return it
+}
+
+// dijkstra runs from src to dst over fibers neither cut nor banned in this
+// run, never entering a banned node, and reports whether dst was reached.
+// Ties are broken deterministically: on equal length the lexicographically
+// smaller incoming fiber ID wins, so the result does not depend on heap or
+// adjacency order.
+func (s *search) dijkstra(src, dst int32) bool {
+	g, run, nodes := s.g, s.run, s.nodes
+	nodes[src].dist, nodes[src].reached = 0, run
+	s.heap = s.heap[:0]
+	s.push(heapItem{node: src})
+	for len(s.heap) > 0 {
+		cur := s.pop()
+		if nodes[cur.node].done == run {
+			continue
+		}
+		nodes[cur.node].done = run
+		if cur.node == dst {
+			return true
+		}
+		for _, fi := range g.adj[cur.node] {
+			if f := s.fibers[fi]; f.cut || f.banned == run {
+				continue
+			}
+			next := g.other(fi, cur.node)
+			m := &nodes[next]
+			if m.banned == run {
+				continue
+			}
+			nd := cur.dist + g.lengths[fi]
+			if m.reached != run || nd < m.dist ||
+				(nd == m.dist && g.fiberIDs[fi] < g.fiberIDs[m.prev]) {
+				m.dist, m.prev, m.reached = nd, fi, run
+				s.push(heapItem{node: next, dist: nd})
+			}
+		}
+	}
+	return false
+}
+
+// extend returns root followed by the path the last dijkstra run found
+// from root's final node to dst. rootLen is root's length.
+func (s *search) extend(rootNodes, rootFibers []int32, rootLen float64, dst int32) ipath {
+	g, spur := s.g, rootNodes[len(rootNodes)-1]
+	hops := 0
+	for n := dst; n != spur; n = g.other(s.nodes[n].prev, n) {
+		hops++
+	}
+	p := ipath{
+		nodes:  make([]int32, len(rootNodes)+hops),
+		fibers: make([]int32, len(rootFibers)+hops),
+		length: rootLen + s.nodes[dst].dist,
+	}
+	copy(p.nodes, rootNodes)
+	copy(p.fibers, rootFibers)
+	n := dst
+	for j := hops; j > 0; j-- {
+		fi := s.nodes[n].prev
+		p.nodes[len(rootNodes)-1+j] = n
+		p.fibers[len(rootFibers)-1+j] = fi
+		n = g.other(fi, n)
+	}
+	return p
 }
 
 // ShortestPath runs Dijkstra from src to dst over fiber lengths. The
 // second return is false when dst is unreachable. Ties are broken
 // deterministically by fiber ID.
 func (g *Optical) ShortestPath(src, dst NodeID) (Path, bool) {
-	return g.shortestPathAvoiding(src, dst, nil, nil)
-}
-
-// shortestPathAvoiding is Dijkstra with banned fibers and banned nodes —
-// the spur computation Yen's algorithm needs.
-func (g *Optical) shortestPathAvoiding(src, dst NodeID, bannedFibers map[string]struct{}, bannedNodes map[NodeID]struct{}) (Path, bool) {
-	if !g.HasNode(src) || !g.HasNode(dst) {
+	paths := g.KShortestPaths(src, dst, 1)
+	if len(paths) == 0 {
 		return Path{}, false
 	}
-	if src == dst {
-		return Path{Nodes: []NodeID{src}}, true
-	}
-	dist := map[NodeID]float64{src: 0}
-	prevFiber := map[NodeID]string{}
-	prevNode := map[NodeID]NodeID{}
-	done := map[NodeID]struct{}{}
-	frontier := &pq{{node: src, dist: 0}}
-	for frontier.Len() > 0 {
-		cur := heap.Pop(frontier).(pqItem)
-		if _, ok := done[cur.node]; ok {
-			continue
-		}
-		done[cur.node] = struct{}{}
-		if cur.node == dst {
-			break
-		}
-		for _, fid := range g.adj[cur.node] {
-			if bannedFibers != nil {
-				if _, banned := bannedFibers[fid]; banned {
-					continue
-				}
-			}
-			f := g.fibers[fid]
-			next, _ := f.Other(cur.node)
-			if bannedNodes != nil {
-				if _, banned := bannedNodes[next]; banned {
-					continue
-				}
-			}
-			nd := cur.dist + f.LengthKm
-			old, seen := dist[next]
-			// Deterministic tie-break: keep the lexicographically
-			// smaller predecessor fiber on exact ties.
-			if !seen || nd < old || (nd == old && fid < prevFiber[next]) {
-				dist[next] = nd
-				prevFiber[next] = fid
-				prevNode[next] = cur.node
-				heap.Push(frontier, pqItem{node: next, dist: nd})
-			}
-		}
-	}
-	if _, ok := done[dst]; !ok {
-		return Path{}, false
-	}
-	// Reconstruct.
-	var nodes []NodeID
-	var fibers []string
-	for n := dst; n != src; n = prevNode[n] {
-		nodes = append(nodes, n)
-		fibers = append(fibers, prevFiber[n])
-	}
-	nodes = append(nodes, src)
-	reverseNodes(nodes)
-	reverseStrings(fibers)
-	return Path{Nodes: nodes, Fibers: fibers, LengthKm: dist[dst]}, true
-}
-
-func reverseNodes(s []NodeID) {
-	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
-		s[i], s[j] = s[j], s[i]
-	}
-}
-
-func reverseStrings(s []string) {
-	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
-		s[i], s[j] = s[j], s[i]
-	}
+	return paths[0], true
 }
 
 // KShortestPaths returns up to k loopless shortest paths from src to dst
 // in nondecreasing length order (Yen's algorithm). Fewer than k paths are
 // returned when the graph does not contain k distinct loopless paths.
-func (g *Optical) KShortestPaths(src, dst NodeID, k int) []Path {
+//
+// Fibers named in cut are treated as absent — the post-failure topology
+// G'_o of a fiber-cut scenario (§8) — without copying the graph. Cut IDs
+// that name no fiber are ignored. Equal-length paths are ordered by their
+// fiber-ID sequence.
+func (g *Optical) KShortestPaths(src, dst NodeID, k int, cut ...string) []Path {
 	if k <= 0 {
 		return nil
 	}
-	first, ok := g.ShortestPath(src, dst)
-	if !ok {
+	si, okS := g.nodeIdx[src]
+	di, okD := g.nodeIdx[dst]
+	if !okS || !okD {
 		return nil
 	}
-	paths := []Path{first}
+	if si == di {
+		return []Path{{Nodes: []NodeID{src}}}
+	}
+	s := g.newSearch(cut)
+	s.run++
+	if !s.dijkstra(si, di) {
+		return nil
+	}
+	first := s.extend([]int32{si}, nil, 0, di)
+	paths := []ipath{first}
 	// Candidate pool, deduplicated by fiber sequence.
-	var candidates []Path
-	seen := map[string]struct{}{pathKey(first): {}}
+	var candidates []ipath
+	seen := map[string]struct{}{g.pathKey(first.fibers): {}}
 
 	for len(paths) < k {
 		last := paths[len(paths)-1]
 		// Each node of the previous path except the terminal is a
 		// potential spur node.
-		for i := 0; i < len(last.Nodes)-1; i++ {
-			spur := last.Nodes[i]
-			rootNodes := last.Nodes[:i+1]
-			rootFibers := last.Fibers[:i]
+		for i := 0; i < len(last.nodes)-1; i++ {
+			rootNodes := last.nodes[:i+1]
+			rootFibers := last.fibers[:i]
 			rootLen := 0.0
-			for _, fid := range rootFibers {
-				rootLen += g.fibers[fid].LengthKm
+			for _, fi := range rootFibers {
+				rootLen += g.lengths[fi]
 			}
+			s.run++ // a new Dijkstra run; its bans carry this stamp
 			// Ban the next fiber of every accepted path sharing this root.
-			bannedFibers := make(map[string]struct{})
 			for _, p := range paths {
-				if len(p.Fibers) > i && sameRoot(p, rootNodes, rootFibers) {
-					bannedFibers[p.Fibers[i]] = struct{}{}
+				if len(p.fibers) > i && sameRoot(p, rootNodes, rootFibers) {
+					s.fibers[p.fibers[i]].banned = s.run
 				}
 			}
 			// Ban root nodes (except the spur) to keep paths loopless.
-			bannedNodes := make(map[NodeID]struct{})
 			for _, n := range rootNodes[:i] {
-				bannedNodes[n] = struct{}{}
+				s.nodes[n].banned = s.run
 			}
-			spurPath, ok := g.shortestPathAvoiding(spur, dst, bannedFibers, bannedNodes)
-			if !ok {
+			if !s.dijkstra(rootNodes[i], di) {
 				continue
 			}
-			total := Path{
-				Nodes:    append(append([]NodeID{}, rootNodes...), spurPath.Nodes[1:]...),
-				Fibers:   append(append([]string{}, rootFibers...), spurPath.Fibers...),
-				LengthKm: rootLen + spurPath.LengthKm,
-			}
-			key := pathKey(total)
-			if _, dup := seen[key]; dup {
+			total := s.extend(rootNodes, rootFibers, rootLen, di)
+			total.key = g.pathKey(total.fibers)
+			if _, dup := seen[total.key]; dup {
 				continue
 			}
-			seen[key] = struct{}{}
+			seen[total.key] = struct{}{}
 			candidates = append(candidates, total)
 		}
 		if len(candidates) == 0 {
 			break
 		}
-		// Take the shortest candidate (stable tie-break by fiber key).
-		sort.Slice(candidates, func(i, j int) bool {
-			if candidates[i].LengthKm != candidates[j].LengthKm {
-				return candidates[i].LengthKm < candidates[j].LengthKm
+		// Take the shortest candidate (tie-break by fiber key). Keys are
+		// unique, so the order is total and the rest of the pool need
+		// not stay sorted.
+		best := 0
+		for j, c := range candidates[1:] {
+			b := candidates[best]
+			if c.length < b.length || (c.length == b.length && c.key < b.key) {
+				best = j + 1
 			}
-			return pathKey(candidates[i]) < pathKey(candidates[j])
-		})
-		paths = append(paths, candidates[0])
-		candidates = candidates[1:]
+		}
+		paths = append(paths, candidates[best])
+		candidates[best] = candidates[len(candidates)-1]
+		candidates = candidates[:len(candidates)-1]
 	}
-	return paths
+	out := make([]Path, len(paths))
+	for i, p := range paths {
+		out[i] = g.toPath(p)
+	}
+	return out
 }
 
-func sameRoot(p Path, rootNodes []NodeID, rootFibers []string) bool {
-	if len(p.Nodes) < len(rootNodes) || len(p.Fibers) < len(rootFibers) {
+func sameRoot(p ipath, rootNodes, rootFibers []int32) bool {
+	if len(p.nodes) < len(rootNodes) || len(p.fibers) < len(rootFibers) {
 		return false
 	}
 	for i, n := range rootNodes {
-		if p.Nodes[i] != n {
+		if p.nodes[i] != n {
 			return false
 		}
 	}
 	for i, f := range rootFibers {
-		if p.Fibers[i] != f {
+		if p.fibers[i] != f {
 			return false
 		}
 	}
 	return true
-}
-
-func pathKey(p Path) string {
-	key := ""
-	for _, f := range p.Fibers {
-		key += f + "|"
-	}
-	return key
 }
 
 // Diameter returns the longest shortest-path distance between any two

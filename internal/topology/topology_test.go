@@ -3,6 +3,7 @@ package topology
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -172,26 +173,33 @@ func TestKShortestPathsEdges(t *testing.T) {
 
 func TestWithout(t *testing.T) {
 	g := diamond(t)
-	cut := g.Without("1")
-	if cut.NumFibers() != 4 {
-		t.Errorf("Without left %d fibers, want 4", cut.NumFibers())
-	}
-	p, ok := cut.ShortestPath("A", "D")
-	if !ok {
+	paths := g.KShortestPaths("A", "D", 1, "1")
+	if len(paths) != 1 {
 		t.Fatal("no restoration path after cut")
 	}
-	if p.LengthKm != 300 {
+	if paths[0].LengthKm != 300 {
 		// A-C(150)-D(150) or A-C-B-D = 150+50+100 = 300; both length 300.
-		t.Errorf("post-cut shortest = %v km, want 300", p.LengthKm)
+		t.Errorf("post-cut shortest = %v km, want 300", paths[0].LengthKm)
 	}
-	// Original untouched.
-	if g.NumFibers() != 5 {
-		t.Errorf("Without mutated the original: %d fibers", g.NumFibers())
+	for _, f := range paths[0].Fibers {
+		if f == "1" {
+			t.Errorf("post-cut path %v uses the cut fiber", paths[0].Fibers)
+		}
 	}
-	// Cutting everything disconnects.
-	iso := g.Without("1", "2")
-	if _, ok := iso.ShortestPath("A", "D"); ok {
-		t.Error("path found after cutting all fibers out of A")
+	// The graph itself is untouched.
+	if p, _ := g.ShortestPath("A", "D"); g.NumFibers() != 5 || p.LengthKm != 200 {
+		t.Errorf("cut search mutated the graph: %d fibers, shortest %v km", g.NumFibers(), p.LengthKm)
+	}
+	// The oracle's copy-without agrees and leaves four fibers.
+	if o := oracleOf(g).Without("1"); len(o.fibers) != 4 {
+		t.Errorf("oracle Without left %d fibers, want 4", len(o.fibers))
+	}
+	// Cutting everything disconnects; unknown cut IDs are ignored.
+	if got := g.KShortestPaths("A", "D", 3, "1", "2"); got != nil {
+		t.Errorf("paths found after cutting all fibers out of A: %v", got)
+	}
+	if got := g.KShortestPaths("A", "D", 1, "nope"); len(got) != 1 || got[0].LengthKm != 200 {
+		t.Errorf("unknown cut ID changed the answer: %v", got)
 	}
 }
 
@@ -325,25 +333,69 @@ func TestKSPProperty(t *testing.T) {
 	}
 }
 
-// Property: removing a fiber never shortens a shortest path.
+// Property: cutting a fiber never shortens a shortest path.
 func TestWithoutMonotoneProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomGraph(rng, 6)
 		fibers := g.Fibers()
 		cut := fibers[rng.Intn(len(fibers))].ID
-		h := g.Without(cut)
 		before, okB := g.ShortestPath("A", "F")
-		after, okA := h.ShortestPath("A", "F")
+		after := g.KShortestPaths("A", "F", 1, cut)
 		if !okB {
 			return false
 		}
-		if !okA {
+		if len(after) == 0 {
 			return true // disconnection is a valid outcome
 		}
-		return after.LengthKm >= before.LengthKm-1e-9
+		return after[0].LengthKm >= before.LengthKm-1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Error(err)
+	}
+}
+
+// Property: on random multigraphs (parallel fibers, ties, cuts) the index
+// search returns exactly the map-based oracle's paths on the graph copied
+// without the cut fibers, for every ordered node pair.
+func TestKSPMatchesOracleProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 4 + rng.Intn(6)
+		g := randomGraph(rng, n)
+		// Equal lengths make the fiber-ID tie-breaks decide.
+		if rng.Intn(2) == 0 {
+			for fi := range g.lengths {
+				g.lengths[fi] = float64(100 * (1 + rng.Intn(3)))
+			}
+		}
+		fibers := g.Fibers()
+		var cut []string
+		for c := rng.Intn(3); c > 0; c-- {
+			cut = append(cut, fibers[rng.Intn(len(fibers))].ID)
+		}
+		o := oracleOf(g).Without(cut...)
+		k := 1 + rng.Intn(6)
+		for _, a := range g.Nodes() {
+			for _, b := range g.Nodes() {
+				want := o.KShortestPaths(a, b, k)
+				got := g.KShortestPaths(a, b, k, cut...)
+				if !reflect.DeepEqual(got, want) {
+					t.Logf("seed %d cut %v %s→%s k=%d:\n got %v\nwant %v", seed, cut, a, b, k, got, want)
+					return false
+				}
+				if len(cut) == 0 {
+					sp, ok := g.ShortestPath(a, b)
+					osp, ook := o.ShortestPath(a, b)
+					if ok != ook || !reflect.DeepEqual(sp, osp) {
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
 }
