@@ -60,6 +60,12 @@ func TestEngineDifferentialLadder(t *testing.T) {
 // plan against demand, with no LP solve falling back to the dense
 // tableau. Kept at a small grid so it stays a unit test; the benchmark
 // ladder runs the bigger ones.
+//
+// It also pins the instance's pivot path: the search and LU counts and the
+// objective's exact bits. The simplex kernels are required to be
+// bit-exact rewrites of one another, so any change to the floating-point
+// operations or their order shows here as a different count or objective,
+// not only as a slower or faster benchmark.
 func TestExactTBackbone(t *testing.T) {
 	p, err := ExactTBackboneProblem(1, 0.02, 32, 1)
 	if err != nil {
@@ -79,6 +85,26 @@ func TestExactTBackbone(t *testing.T) {
 		if lp.ProvisionedGbps < lp.DemandGbps {
 			t.Fatalf("link %s provisioned %d < demand %d", id, lp.ProvisionedGbps, lp.DemandGbps)
 		}
+	}
+	s := res.Solver
+	for _, c := range []struct {
+		name      string
+		got, want int
+	}{
+		{"nodes", s.Nodes, 96},
+		{"pivots", s.SimplexIters, 2813},
+		{"refactorizations", s.Refactorizations, 68},
+		{"FTRAN", s.FTRANCount, 2881},
+		{"BTRAN", s.BTRANCount, 5663},
+		{"bound flips", s.BoundFlips, 0},
+		{"weight resets", s.WeightResets, 39},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %d, want %d: the pivot path changed", c.name, c.got, c.want)
+		}
+	}
+	if bits := math.Float64bits(s.Objective); bits != 0x40446cccccccccce {
+		t.Errorf("objective %v (bits %#x), want 40.85000000000001 (bits 0x40446cccccccccce)", s.Objective, bits)
 	}
 }
 

@@ -156,18 +156,23 @@ func (s *uStore) clear(line int) { s.count[line] = 0 }
 // U. Refactorization is adaptive: measured fill growth or numerical drift
 // against the determinant identity d_new = w_p·d_old.
 //
-// FTRAN solves B·w = a; BTRAN solves Bᵀ·v = c. L rows are indexed in
-// original constraint-row space, U in pivot order (which equals basis
-// position), row etas in basis-position space. All buffers are retained
-// across factorizations, so a branch-and-bound worker refactorizing
-// thousands of times allocates only on growth.
+// FTRAN solves B·w = a; BTRAN solves Bᵀ·v = c. Once factorize returns,
+// L, U and the row etas are all indexed in pivot order (which equals basis
+// position); only the entry gather of FTRAN and the exit scatter of BTRAN
+// touch original constraint-row space. All buffers are retained across
+// factorizations, so a branch-and-bound worker refactorizing thousands of
+// times allocates only on growth.
 type luFactor struct {
 	m    int
 	perm []int32 // pivot order k → original row
 	pinv []int32 // original row → pivot order
 
 	lPtr []int32 // len m+1; L column k occupies [lPtr[k], lPtr[k+1])
-	lIdx []int32 // original-row index of each below-diagonal L entry
+	// lPos is the row of each below-diagonal L entry: its original row
+	// while factorize runs, rewritten to that row's pivot position
+	// (pinv) once every row is pivoted, so the L and Lᵀ solves index
+	// pivot-order vectors with one load instead of two.
+	lPos []int32
 	lVal []float64
 
 	// Static U from the last factorization, loaded into the dynamic store
@@ -190,6 +195,7 @@ type luFactor struct {
 	order    []int32
 	seqPos   []int32
 	vbuf     []float64 // pre-U-solve spike from the last ftran
+	rbuf     []float64 // btran's ρ work vector, pivot order (zero between uses)
 	work     []float64 // row-elimination accumulator (zero between updates)
 	wmark    []bool
 	rowCnt   []int32 // loadFT scratch: row populations of the static U
@@ -229,7 +235,7 @@ func (f *luFactor) factorize(basis []int32, csc *cscMatrix, x []float64) bool {
 	f.udiag = growFloats(f.udiag, m)
 	f.lPtr = growInt32(f.lPtr, m+1)
 	f.uPtr = growInt32(f.uPtr, m+1)
-	f.lIdx, f.lVal = f.lIdx[:0], f.lVal[:0]
+	f.lPos, f.lVal = f.lPos[:0], f.lVal[:0]
 	f.uIdx, f.uVal = f.uIdx[:0], f.uVal[:0]
 	f.etaPos = f.etaPos[:0]
 	f.etaIdx, f.etaVal = f.etaIdx[:0], f.etaVal[:0]
@@ -245,27 +251,38 @@ func (f *luFactor) factorize(basis []int32, csc *cscMatrix, x []float64) bool {
 	f.lPtr[0], f.uPtr[0] = 0, 0
 
 	for j := 0; j < m; j++ {
-		// Scatter basis column j into the dense work vector.
+		// Scatter basis column j into the dense work vector, noting the
+		// earliest pivot position among its already-pivoted rows.
 		touch := f.touch[:0]
 		col := basis[j]
+		k0 := int32(j)
 		if int(col) >= csc.cols {
 			r := col - int32(csc.cols)
 			x[r] = 1
 			f.mark[r] = true
 			touch = append(touch, r)
+			if pk := f.pinv[r]; pk >= 0 {
+				k0 = pk
+			}
 		} else {
 			for k := csc.colPtr[col]; k < csc.colPtr[col+1]; k++ {
 				r := csc.rowIdx[k]
 				x[r] = csc.val[k]
 				f.mark[r] = true
 				touch = append(touch, r)
+				if pk := f.pinv[r]; pk >= 0 && pk < k0 {
+					k0 = pk
+				}
 			}
 		}
 		// Left-looking elimination: columns k < j in pivot order. A prior
 		// pivot row's value is fixed once its column is passed (later L
 		// columns touch only still-unpivoted rows), so the ascending scan
-		// sees every fill-in exactly once.
-		for k := 0; k < j; k++ {
+		// sees every fill-in exactly once. The scan starts at k0: L column
+		// k only fills rows pivoted after k, so no position before the
+		// column's earliest pivoted row can be nonzero, and skipping those
+		// exact zeros changes no arithmetic.
+		for k := int(k0); k < j; k++ {
 			pr := f.perm[k]
 			xk := x[pr]
 			if xk == 0 {
@@ -274,7 +291,7 @@ func (f *luFactor) factorize(basis []int32, csc *cscMatrix, x []float64) bool {
 			f.uIdx = append(f.uIdx, int32(k))
 			f.uVal = append(f.uVal, xk)
 			for t := f.lPtr[k]; t < f.lPtr[k+1]; t++ {
-				i := f.lIdx[t]
+				i := f.lPos[t]
 				if !f.mark[i] {
 					f.mark[i] = true
 					touch = append(touch, i)
@@ -307,14 +324,17 @@ func (f *luFactor) factorize(basis []int32, csc *cscMatrix, x []float64) bool {
 		f.udiag[j] = d
 		for _, i := range touch {
 			if f.pinv[i] < 0 && x[i] != 0 {
-				f.lIdx = append(f.lIdx, i)
+				f.lPos = append(f.lPos, i)
 				f.lVal = append(f.lVal, x[i]/d)
 			}
 			x[i] = 0
 			f.mark[i] = false
 		}
-		f.lPtr[j+1] = int32(len(f.lIdx))
+		f.lPtr[j+1] = int32(len(f.lPos))
 		f.touch = touch[:0]
+	}
+	for t, i := range f.lPos {
+		f.lPos[t] = f.pinv[i]
 	}
 	f.nFactor++
 	f.loadFT()
@@ -361,9 +381,11 @@ func (f *luFactor) loadFT() {
 	f.vbuf = growFloats(f.vbuf, m)
 	f.work = growFloats(f.work, m)
 	f.wmark = growBools(f.wmark, m)
+	f.rbuf = growFloats(f.rbuf, m)
 	for i := 0; i < m; i++ {
 		f.work[i] = 0
 		f.wmark[i] = false
+		f.rbuf[i] = 0
 	}
 }
 
@@ -384,19 +406,22 @@ func (f *luFactor) needRefactor() bool {
 // for a possible ftUpdate of this column.
 func (f *luFactor) ftran(x, out []float64) {
 	f.nFtran++
-	// L solve in place (original-row space, pivot order).
-	for k := 0; k < f.m; k++ {
-		xk := x[f.perm[k]]
+	m := f.m
+	out = out[:m]
+	// Gather to pivot order, restoring the zero invariant on x.
+	for k, i := range f.perm[:m] {
+		out[k] = x[i]
+		x[i] = 0
+	}
+	// L solve in place, in pivot order.
+	for k, xk := range out {
 		if xk != 0 {
-			for t := f.lPtr[k]; t < f.lPtr[k+1]; t++ {
-				x[f.lIdx[t]] -= xk * f.lVal[t]
+			lo, hi := f.lPtr[k], f.lPtr[k+1]
+			val := f.lVal[lo:hi]
+			for q, i := range f.lPos[lo:hi] {
+				out[i] -= xk * val[q]
 			}
 		}
-	}
-	// Gather to pivot order, restoring the zero invariant on x.
-	for k := 0; k < f.m; k++ {
-		out[k] = x[f.perm[k]]
-		x[f.perm[k]] = 0
 	}
 	// Row etas in creation order: (R·z)[p] = z[p] − rᵀz.
 	for e := 0; e < len(f.etaPos); e++ {
@@ -434,43 +459,101 @@ func (f *luFactor) saveSpike(dst []float64) { copy(dst[:f.m], f.vbuf[:f.m]) }
 // Forrest–Tomlin update vector.
 func (f *luFactor) restoreSpike(src []float64) { copy(f.vbuf[:f.m], src[:f.m]) }
 
-// btran solves Bᵀ·out = c. c is dense in basis-position space and is
-// zeroed on return; out is dense in original-row space and fully
-// overwritten.
-func (f *luFactor) btran(c, out []float64) {
+// btran solves Bᵀ·y = c and, when p ≥ 0, Bᵀ·ρ = e_p in the same pass, so
+// a dual iteration's two right-hand sides share one walk over U, the row
+// etas and L. Each vector sees exactly the operations, in the order, that
+// a solve of its own would apply. c is dense in basis-position space and
+// is zeroed on return; y and rho are dense in original-row space and fully
+// overwritten (rho is untouched when p < 0). nBtran counts right-hand
+// sides, not passes.
+func (f *luFactor) btran(c, y []float64, p int, rho []float64) {
+	m := f.m
+	var r []float64
 	f.nBtran++
+	if p >= 0 {
+		f.nBtran++
+		r = f.rbuf[:m]
+		r[p] = 1
+	}
 	// Permuted Uᵀ solve, forward in sequence order (in place).
-	for t := 0; t < f.m; t++ {
+	for t := 0; t < m; t++ {
 		j := int(f.order[t])
-		s := c[j]
+		d := f.udiag[j]
 		ci, cv := f.us.entries(j)
-		for q, k := range ci {
-			s -= cv[q] * c[k]
+		s := c[j]
+		if r == nil {
+			for q, k := range ci {
+				s -= cv[q] * c[k]
+			}
+		} else {
+			sr := r[j]
+			for q, k := range ci {
+				s -= cv[q] * c[k]
+				sr -= cv[q] * r[k]
+			}
+			r[j] = sr / d
 		}
-		c[j] = s / f.udiag[j]
+		c[j] = s / d
 	}
 	// Row-eta transposes in reverse creation order: Rᵀ = I − r·e_pᵀ
 	// scatters −r·c[p] into the eliminated columns.
 	for e := len(f.etaPos) - 1; e >= 0; e-- {
-		cp := c[f.etaPos[e]]
-		if cp != 0 {
-			for t := f.etaPtr[e]; t < f.etaPtr[e+1]; t++ {
-				c[f.etaIdx[t]] -= f.etaVal[t] * cp
+		ep := f.etaPos[e]
+		cp, rp := c[ep], 0.0
+		if r != nil {
+			rp = r[ep]
+		}
+		if cp == 0 && rp == 0 {
+			continue
+		}
+		idx := f.etaIdx[f.etaPtr[e]:f.etaPtr[e+1]]
+		val := f.etaVal[f.etaPtr[e]:f.etaPtr[e+1]]
+		switch {
+		case rp == 0:
+			for q, i := range idx {
+				c[i] -= val[q] * cp
+			}
+		case cp == 0:
+			for q, i := range idx {
+				r[i] -= val[q] * rp
+			}
+		default:
+			for q, i := range idx {
+				c[i] -= val[q] * cp
+				r[i] -= val[q] * rp
 			}
 		}
 	}
-	// Lᵀ solve (backward, in place): s_k = t_k − Σ_{i} L[i,k]·s_{pinv[i]}.
-	for k := f.m - 1; k >= 0; k-- {
+	// Lᵀ solve (backward, in place): s_k = t_k − Σ L[i,k]·s_{lPos}.
+	for k := m - 1; k >= 0; k-- {
+		lo, hi := f.lPtr[k], f.lPtr[k+1]
+		pos, val := f.lPos[lo:hi], f.lVal[lo:hi]
 		s := c[k]
-		for t := f.lPtr[k]; t < f.lPtr[k+1]; t++ {
-			s -= f.lVal[t] * c[f.pinv[f.lIdx[t]]]
+		if r == nil {
+			for q, i := range pos {
+				s -= val[q] * c[i]
+			}
+		} else {
+			sr := r[k]
+			for q, i := range pos {
+				s -= val[q] * c[i]
+				sr -= val[q] * r[i]
+			}
+			r[k] = sr
 		}
 		c[k] = s
 	}
-	// Scatter to original-row space, restoring the zero invariant on c.
-	for k := 0; k < f.m; k++ {
-		out[f.perm[k]] = c[k]
+	// Scatter to original-row space, restoring the zero invariant on the
+	// work vectors.
+	for k := 0; k < m; k++ {
+		y[f.perm[k]] = c[k]
 		c[k] = 0
+	}
+	if r != nil {
+		for k := 0; k < m; k++ {
+			rho[f.perm[k]] = r[k]
+			r[k] = 0
+		}
 	}
 }
 

@@ -3,7 +3,7 @@ package solver
 import (
 	"context"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Artificial-box policy for dual-infeasible columns at cold start (see
@@ -105,12 +105,14 @@ type rxScratch struct {
 	alphaC []float64 // cached ρ·a_j per admissible column for the ratio test
 	dC     []float64 // cached reduced cost per admissible column
 	admis  []int32   // admissible columns of the current ratio test
-	cand   rxCands   // ratio-sorted candidate walk of the long-step ratio test
+	cand   []rxCand  // ratio-sorted candidate walk of the long-step ratio test
 	colBuf []float64 // dense original-row scratch (FTRAN input; zero between uses)
 	w      []float64 // FTRAN output: the spike B⁻¹a_enter
 	rho    []float64 // BTRAN(e_p), original-row space
 	y      []float64 // BTRAN(c_B), original-row space
 	posBuf []float64 // BTRAN input scratch, position space (zero between uses)
+	rhoA   []float64 // priceCol output: ρ·a_j per structural column
+	yA     []float64 // priceCol output: y·a_j per structural column
 
 	weightsOK bool      // rowW valid; false falls row selection back to largest violation
 	rowW      []float64 // per-row devex reference weight
@@ -132,26 +134,25 @@ type rxScratch struct {
 	nWeightResets int
 }
 
-// rxCands is the sorted candidate list of the long-step dual ratio test:
-// admissible columns ordered by (ratio, column index), walked in order so
+// rxCand is one admissible column of the long-step dual ratio test. The
+// candidates are sorted by (ratio, column index) and walked in order so
 // boxed candidates whose ratio is passed can be flipped bound-to-bound.
-// Lives in the scratch and is re-sliced per iteration; sorting allocates
-// nothing.
-type rxCands struct {
-	j     []int32
-	ratio []float64
+// The list lives in the scratch and is re-sliced per iteration.
+type rxCand struct {
+	ratio float64
+	j     int32
 }
 
-func (c *rxCands) Len() int { return len(c.j) }
-func (c *rxCands) Less(a, b int) bool {
-	if c.ratio[a] != c.ratio[b] {
-		return c.ratio[a] < c.ratio[b]
+// cmpCand orders candidates by (ratio, column index). Column indices are
+// unique, so the order is total and any sort yields the same walk.
+func cmpCand(a, b rxCand) int {
+	switch {
+	case a.ratio < b.ratio:
+		return -1
+	case a.ratio > b.ratio:
+		return 1
 	}
-	return c.j[a] < c.j[b]
-}
-func (c *rxCands) Swap(a, b int) {
-	c.j[a], c.j[b] = c.j[b], c.j[a]
-	c.ratio[a], c.ratio[b] = c.ratio[b], c.ratio[a]
+	return int(a.j) - int(b.j)
 }
 
 // newRxScratch builds a revised-simplex scratch for m.
@@ -186,13 +187,14 @@ func newRxScratch(m *Model) *rxScratch {
 	rx.rho = make([]float64, rx.nRows)
 	rx.y = make([]float64, rx.nRows)
 	rx.posBuf = make([]float64, rx.nRows)
+	rx.rhoA = make([]float64, rx.nCols)
+	rx.yA = make([]float64, rx.nCols)
 	rx.values = make([]float64, rx.nCols)
 	rx.rowW = make([]float64, rx.nRows)
 	rx.flipJ = make([]int32, 0, 16)
 	rx.flipW = make([]float64, rx.nRows)
 	rx.spikeSave = make([]float64, rx.nRows)
-	rx.cand.j = make([]int32, 0, rx.nTot)
-	rx.cand.ratio = make([]float64, 0, rx.nTot)
+	rx.cand = make([]rxCand, 0, rx.nTot)
 	// Slack bounds are fixed by the row relations; set once.
 	for r := 0; r < rx.nRows; r++ {
 		j := rx.nCols + r
@@ -300,20 +302,64 @@ func (rx *rxScratch) refactor() bool {
 	return true
 }
 
-// priceCol returns α_j = ρ·a_j and d_j = c_j − y·a_j for column j in one
-// pass over its nonzeros.
-func (rx *rxScratch) priceCol(j int) (alpha, d float64) {
+// priceCol computes y·a_j for every structural column into yA and, when
+// withRho is set, ρ·a_j into rhoA. It scatters row-wise over the model's
+// own constraint rows, visiting only rows where ρ or y is nonzero, in
+// ascending order — so each column's sum adds the same nonzero products
+// in the same order as a dot product down its CSC column, bit for bit:
+// the skipped products are exact zeros, and adding a signed zero to a sum
+// that started at +0 never changes it.
+func (rx *rxScratch) priceCol(withRho bool) {
+	yA, rhoA := rx.yA, rx.rhoA
+	clear(yA)
+	if withRho {
+		clear(rhoA)
+	}
+	for r, yr := range rx.y {
+		pr := 0.0
+		if withRho {
+			pr = rx.rho[r]
+		}
+		if pr == 0 && yr == 0 {
+			continue
+		}
+		terms := rx.m.cons[r].terms
+		switch {
+		case pr == 0:
+			for _, t := range terms {
+				yA[t.Var] += t.Coef * yr
+			}
+		case yr == 0:
+			for _, t := range terms {
+				rhoA[t.Var] += t.Coef * pr
+			}
+		default:
+			for _, t := range terms {
+				rhoA[t.Var] += t.Coef * pr
+				yA[t.Var] += t.Coef * yr
+			}
+		}
+	}
+}
+
+// reducedCost returns d_j = c_j − y·a_j for column j (structural or
+// slack) after priceCol.
+func (rx *rxScratch) reducedCost(j int) float64 {
 	if j >= rx.nCols {
-		r := j - rx.nCols
-		return rx.rho[r], rx.cost[j] - rx.y[r]
+		return rx.cost[j] - rx.y[j-rx.nCols]
 	}
-	var yd float64
-	for k := rx.csc.colPtr[j]; k < rx.csc.colPtr[j+1]; k++ {
-		r := rx.csc.rowIdx[k]
-		alpha += rx.csc.val[k] * rx.rho[r]
-		yd += rx.csc.val[k] * rx.y[r]
+	return rx.cost[j] - rx.yA[j]
+}
+
+// priced returns α_j = ρ·a_j and d_j = c_j − y·a_j for column j after
+// priceCol(true).
+func (rx *rxScratch) priced(j int) (alpha, d float64) {
+	if j >= rx.nCols {
+		alpha = rx.rho[j-rx.nCols]
+	} else {
+		alpha = rx.rhoA[j]
 	}
-	return alpha, rx.cost[j] - yd
+	return alpha, rx.reducedCost(j)
 }
 
 // dualIterate runs bounded-variable dual simplex pivots from the current
@@ -400,12 +446,11 @@ func (rx *rxScratch) dualIterate() rxResult {
 		// Price: ρ = B⁻ᵀe_p gives the leaving row of B⁻¹A; y = B⁻ᵀc_B
 		// gives reduced costs. Both recomputed fresh — no incremental cost
 		// row to drift.
-		rx.posBuf[p] = 1
-		rx.lu.btran(rx.posBuf, rx.rho)
 		for r := 0; r < rx.nRows; r++ {
 			rx.posBuf[r] = rx.cost[rx.basis[r]]
 		}
-		rx.lu.btran(rx.posBuf, rx.y)
+		rx.lu.btran(rx.posBuf, rx.y, p, rx.rho)
+		rx.priceCol(true)
 
 		// Dual ratio test: among nonbasic columns whose movement pushes
 		// xB[p] toward its violated bound, the entering column must be one
@@ -425,7 +470,7 @@ func (rx *rxScratch) dualIterate() rxResult {
 			if st == rxBasic || rx.lb[j] == rx.ub[j] {
 				continue // fixed columns cannot move; their d is unconstrained
 			}
-			alpha, d := rx.priceCol(j)
+			alpha, d := rx.priced(j)
 			switch st {
 			case rxAtLower:
 				if sigma*alpha <= pivotTol {
@@ -449,12 +494,11 @@ func (rx *rxScratch) dualIterate() rxResult {
 		}
 		// Sort the candidates by (ratio, index) once; the tiny-pivot
 		// exclusion retry below redoes the walk, not the sort.
-		rx.cand.j = append(rx.cand.j[:0], rx.admis...)
-		rx.cand.ratio = rx.cand.ratio[:0]
+		rx.cand = rx.cand[:0]
 		for _, j32 := range rx.admis {
-			rx.cand.ratio = append(rx.cand.ratio, rx.dC[j32])
+			rx.cand = append(rx.cand, rxCand{ratio: rx.dC[j32], j: j32})
 		}
-		sort.Sort(&rx.cand)
+		slices.SortFunc(rx.cand, cmpCand)
 
 		// The walk retries with the chosen column excluded whenever its
 		// FTRAN'd spike pivot comes out below rxPivotSafety — pivoting on a
@@ -478,8 +522,8 @@ func (rx *rxScratch) dualIterate() rxResult {
 			rx.flipJ = rx.flipJ[:0]
 			delta := worst
 			stop := -1
-			for ci := 0; ci < len(rx.cand.j); ci++ {
-				j := int(rx.cand.j[ci])
+			for ci := range rx.cand {
+				j := int(rx.cand[ci].j)
 				if rx.excl[j] == rx.exclEp {
 					continue
 				}
@@ -514,7 +558,7 @@ func (rx *rxScratch) dualIterate() rxResult {
 			// immune to. With the filter, any iteration that flips has
 			// θ > feasTol and strictly improves the dual objective, so flip
 			// sequences terminate.
-			stopRatio := rx.cand.ratio[stop]
+			stopRatio := rx.cand[stop].ratio
 			keep := rx.flipJ[:0]
 			for _, j32 := range rx.flipJ {
 				if rx.dC[j32] < stopRatio-feasTol {
@@ -526,12 +570,12 @@ func (rx *rxScratch) dualIterate() rxResult {
 			// group, including tie-group members the filter just unflipped.
 			enter = -1
 			bestAbs := 0.0
-			for ci := 0; ci < len(rx.cand.j); ci++ {
-				if rx.cand.ratio[ci] > stopRatio+feasTol {
+			for _, c := range rx.cand {
+				if c.ratio > stopRatio+feasTol {
 					break
 				}
-				j := int(rx.cand.j[ci])
-				if rx.excl[j] == rx.exclEp || rx.cand.ratio[ci] < stopRatio-feasTol {
+				j := int(c.j)
+				if rx.excl[j] == rx.exclEp || c.ratio < stopRatio-feasTol {
 					continue
 				}
 				if a := math.Abs(rx.alphaC[j]); a > bestAbs {
@@ -832,20 +876,13 @@ func (rx *rxScratch) solveCold() (Solution, bool) {
 // dualFeasible verifies every nonbasic column prices out on the right side
 // for its status, using the y already in rx.y.
 func (rx *rxScratch) dualFeasible() bool {
+	rx.priceCol(false)
 	for j := 0; j < rx.nTot; j++ {
 		st := rx.status[j]
 		if st == rxBasic || rx.lb[j] == rx.ub[j] {
 			continue
 		}
-		var yd float64
-		if j >= rx.nCols {
-			yd = rx.y[j-rx.nCols]
-		} else {
-			for k := rx.csc.colPtr[j]; k < rx.csc.colPtr[j+1]; k++ {
-				yd += rx.csc.val[k] * rx.y[rx.csc.rowIdx[k]]
-			}
-		}
-		d := rx.cost[j] - yd
+		d := rx.reducedCost(j)
 		switch st {
 		case rxAtLower:
 			if d < -feasTol {
@@ -924,7 +961,7 @@ func (rx *rxScratch) solveWarm(snap *rxSnap) (Solution, bool) {
 	for r := 0; r < rx.nRows; r++ {
 		rx.posBuf[r] = rx.cost[rx.basis[r]]
 	}
-	rx.lu.btran(rx.posBuf, rx.y)
+	rx.lu.btran(rx.posBuf, rx.y, -1, nil)
 	if !rx.dualFeasible() {
 		return Solution{}, false
 	}
@@ -1035,7 +1072,8 @@ func (rx *rxScratch) fixings(obj, inc float64, chain *boundChange) *boundChange 
 	for r := 0; r < rx.nRows; r++ {
 		rx.posBuf[r] = rx.cost[rx.basis[r]]
 	}
-	rx.lu.btran(rx.posBuf, rx.y)
+	rx.lu.btran(rx.posBuf, rx.y, -1, nil)
+	rx.priceCol(false)
 	for i := range rx.m.vars {
 		if !rx.m.vars[i].integer {
 			continue
@@ -1048,11 +1086,7 @@ func (rx *rxScratch) fixings(obj, inc float64, chain *boundChange) *boundChange 
 		if width < 1 {
 			continue
 		}
-		var yd float64
-		for k := rx.csc.colPtr[i]; k < rx.csc.colPtr[i+1]; k++ {
-			yd += rx.csc.val[k] * rx.y[rx.csc.rowIdx[k]]
-		}
-		d := rx.cost[i] - yd
+		d := rx.reducedCost(i)
 		if st == rxAtLower && d > feasTol {
 			if maxT := math.Floor(budget / d); maxT < width {
 				chain = &boundChange{parent: chain, v: VarID(i), upper: true, val: rx.lb[i] + maxT}
